@@ -8,8 +8,10 @@ rational Birkhoff averages against the ball measure, conjugation to spheres
 around other fixed points, the never-mixing product construction, and the
 behaviour of additively perturbed power maps.
 
-Residue sweeps run through the int64 kernels (numba or numpy backend) when
-the modulus permits and fall back to Python big ints otherwise.
+Residue sweeps run through the numpy int64 kernels when the modulus permits
+and fall back to Python big ints otherwise. Every ball permutation, whatever
+map it comes from, is checked and scanned by one routine,
+:func:`_permutation_from_images`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .unitgroups import UnitGroupReport, generated_set, is_generator_mod_p2, uni
 
 DEFAULT_BALL_CAP = 10**6
 DEFAULT_PAIR_CAP = 5 * 10**6
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,36 +108,11 @@ def sphere_partition(sys: MonomialSystem, depth: int, cap: int = DEFAULT_BALL_CA
     count = (p - 1) * p ** (depth - 1)
     if count > cap:
         raise ResourceError(f"partition of {count} balls exceeds cap {cap}")
-    modulus = p ** (l + depth)
     step = p**l
-    if modulus <= kernels.INT64_SAFE_MODULUS:
-        t = np.arange(1, p**depth, dtype=np.int64)
-        t = t[t % p != 0]
-        reps = tuple(int(r) for r in 1 + t * step)
-    else:
-        reps = tuple(1 + t * step for t in range(1, p**depth) if t % p != 0)
+    reps = tuple(1 + t * step for t in range(1, p**depth) if t % p != 0)
     if len(reps) != count:
         raise IntegrityError("partition enumeration lost representatives")
     return BallPartition(p, l, depth, reps)
-
-
-def _cycles_of_mapping(mapping) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cycle starts (least member first, ascending) and lengths, Python path."""
-    n = len(mapping)
-    visited = bytearray(n)
-    starts, lengths = [], []
-    for i in range(n):
-        if visited[i]:
-            continue
-        j = i
-        length = 0
-        while not visited[j]:
-            visited[j] = 1
-            j = mapping[j]
-            length += 1
-        starts.append(i)
-        lengths.append(length)
-    return tuple(starts), tuple(lengths)
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,33 +152,30 @@ def _rank_of_t(t, p):
 
 
 def _permutation_from_images(partition: BallPartition, images) -> PermutationAction:
-    p, l = partition.prime, partition.level
-    step = p**l
-    if isinstance(images, np.ndarray):
-        t, rem = np.divmod(images - 1, step)
-        if rem.any() or (t % p == 0).any():
-            raise IntegrityError("a ball image left the sphere; the exponent cannot be a unit")
-        mapping_arr = _rank_of_t(t, p)
-        counts = np.bincount(mapping_arr, minlength=partition.ball_count)
-        if (counts != 1).any():
-            raise IntegrityError("ball map is not a bijection; the exponent cannot be a unit")
-        starts, lengths = kernels.cycle_info(mapping_arr)
-        return PermutationAction(
-            partition,
-            tuple(int(i) for i in mapping_arr),
-            tuple(int(i) for i in starts),
-            tuple(int(i) for i in lengths),
-        )
-    mapping = []
-    for img in images:
-        t, rem = divmod(img - 1, step)
-        if rem != 0 or t % p == 0:
-            raise IntegrityError("a ball image left the sphere; the exponent cannot be a unit")
-        mapping.append(_rank_of_t(t, p))
-    if sorted(mapping) != list(range(partition.ball_count)):
-        raise IntegrityError("ball map is not a bijection; the exponent cannot be a unit")
-    starts, lengths = _cycles_of_mapping(mapping)
-    return PermutationAction(partition, tuple(mapping), starts, lengths)
+    """Check the images of a partition's representatives and return the
+    permutation they induce, with its cycle structure.
+
+    ``images[i]`` is the image of representative i, reduced mod the partition
+    modulus (int64 array or Python ints). The dtype follows the modulus, not
+    the values: left to itself numpy reads a mix of ints below and above 2**63
+    as float64. Raises IntegrityError when an image leaves the sphere or the
+    ball map is not a bijection.
+    """
+    p, step = partition.prime, partition.prime**partition.level
+    dtype = np.int64 if partition.modulus <= _INT64_MAX else object
+    t = np.asarray(images, dtype=dtype) - 1
+    on_sphere = t % step == 0
+    t //= step
+    if not on_sphere.all() or (t % p == 0).any():
+        raise IntegrityError("a ball image left the sphere")
+    mapping = _rank_of_t(t, p).astype(np.int64, copy=False)
+    counts = np.bincount(mapping, minlength=partition.ball_count)
+    if (counts != 1).any():
+        raise IntegrityError("the ball map is not a bijection")
+    starts, lengths = kernels.cycle_info(mapping)
+    return PermutationAction(
+        partition, tuple(mapping.tolist()), tuple(starts.tolist()), tuple(lengths.tolist())
+    )
 
 
 def induced_permutation(sys: MonomialSystem, depth: int, cap: int = DEFAULT_BALL_CAP) -> PermutationAction:
@@ -253,9 +228,7 @@ class Verdict:
             raise IntegrityError("verdict flags must coincide")
 
 
-def _verdict_from_depths(
-    sys: MonomialSystem, depth_perms: list[PermutationAction], k_max: int
-) -> Verdict:
+def _verdict_from_depths(sys: MonomialSystem, depth_perms: list[PermutationAction]) -> Verdict:
     gen_report = unit_group_report(sys.n, sys.p, 2)
     gen = gen_report.is_generator
     depths = []
@@ -296,7 +269,7 @@ def minimality_verdict(sys: MonomialSystem, k_max: int = 4, cap: int = DEFAULT_B
     if k_max < 2:
         raise DomainError("k_max must be at least 2; depth 1 alone cannot decide")
     perms = [induced_permutation(sys, k, cap) for k in range(1, k_max + 1)]
-    return _verdict_from_depths(sys, perms, k_max)
+    return _verdict_from_depths(sys, perms)
 
 
 # -- measures and averages ----------------------------------------------------
@@ -435,32 +408,23 @@ def conjugated_verdict(
         raise DomainError("k_max must be at least 2")
 
     base = minimality_verdict(sys, k_max, cap)
-    p, l, n = sys.p, sys.l, sys.n
     depths = []
     invariant_ball = None
     for k in range(1, k_max + 1):
         std = sphere_partition(sys, k, cap)
         m = std.modulus
         a_res = a.residue % m
-        reps = sorted((a_res * c) % m for c in std.representatives)
-        index = {r: i for i, r in enumerate(reps)}
-        mapping = []
-        for r in reps:
-            img = pow(r, n, m)
-            if img not in index:
-                raise IntegrityError("conjugated ball map left the sphere around a")
-            mapping.append(index[img])
-        if sorted(mapping) != list(range(len(reps))):
-            raise IntegrityError("conjugated ball map is not a bijection")
-        starts, lengths = _cycles_of_mapping(mapping)
-        depths.append(DepthCycles(k, len(reps), lengths))
-        if invariant_ball is None and len(lengths) > 1:
-            for i, j in enumerate(mapping):
-                if i == j:
-                    invariant_ball = (k, reps[i])
-                    break
-        transitive = len(lengths) == 1
-        if k >= 2 and transitive != base.minimal:
+        a_inv = pow(a_res, -1, m)
+        # The ball a*c maps to (a*c)^n; dividing by a brings the image back to
+        # standard coordinates, where it is ranked like any other image.
+        images = [a_inv * pow(a_res * c % m, sys.n, m) % m for c in std.representatives]
+        perm = _permutation_from_images(std, images)
+        depths.append(DepthCycles(k, std.ball_count, perm.cycle_lengths))
+        if invariant_ball is None and not perm.is_transitive:
+            fixed = perm.fixed_indices()
+            if fixed:
+                invariant_ball = (k, min(a_res * std.representatives[i] % m for i in fixed))
+        if k >= 2 and perm.is_transitive != base.minimal:
             raise IntegrityError(
                 f"conjugated dynamics at depth {k} disagrees with the base verdict"
             )
@@ -470,8 +434,7 @@ def conjugated_verdict(
         tuple(depths),
         invariant_ball,
     )
-    verdict = Verdict(base.minimal, base.uniquely_ergodic, base.ergodic, evidence)
-    return verdict
+    return Verdict(base.minimal, base.uniquely_ergodic, base.ergodic, evidence)
 
 
 # -- the product system never mixes -------------------------------------------
@@ -688,14 +651,16 @@ def perturbed_analysis(
 
     # Pointwise re-verification of the vanishing condition on the sphere.
     mod2 = p ** (l + 2)
-    reps2 = sphere_partition(sys, 2, cap).representatives
+    part2 = sphere_partition(sys, 2, cap)
+    reps2 = part2.representatives
     pointwise_ok = all(psys.q.evaluate_residue(r, mod2) == 0 for r in reps2)
 
     invariance = []
     for k in range(1, k_max + 1):
         mod_k = p ** (l + k)
         ok = True
-        for r in sphere_partition(sys, k, cap).representatives:
+        reps = reps2 if k == 2 else sphere_partition(sys, k, cap).representatives
+        for r in reps:
             img = psys.apply(r, mod_k)
             d = (img - 1) % mod_k
             if d == 0 or int_valuation(d, p) != l:
@@ -722,17 +687,7 @@ def perturbed_analysis(
     # Necessary condition: the depth-2 ball action must be transitive exactly
     # when n generates the units mod p^2. Since q vanishes mod p^(l+2), this
     # action coincides with the unperturbed one; it is rebuilt from psi_q here.
-    part2 = sphere_partition(sys, 2, cap)
-    index = {r: i for i, r in enumerate(part2.representatives)}
-    mapping = []
-    for r in part2.representatives:
-        img = psys.apply(r, mod2)
-        if img not in index:
-            raise IntegrityError("perturbed depth-2 ball map left the sphere")
-        mapping.append(index[img])
-    if sorted(mapping) != list(range(part2.ball_count)):
-        raise IntegrityError("perturbed depth-2 ball map is not a bijection")
-    _, lengths = _cycles_of_mapping(mapping)
+    depth2 = _permutation_from_images(part2, [psys.apply(r, mod2) for r in reps2])
 
     return PerturbationReport(
         tuple(invariance),
@@ -742,7 +697,7 @@ def perturbed_analysis(
         tuple(mismatches),
         mismatch_count,
         part2.ball_count,
-        len(lengths) == 1,
+        depth2.is_transitive,
         is_generator_mod_p2(n, p),
     )
 
@@ -795,35 +750,27 @@ def observe_marginal_perturbation(
     per_depth = []
     for k in range(1, k_max + 1):
         mod_k = p ** (l + k)
-        reps = sphere_partition(sys, k, cap).representatives
+        partition = sphere_partition(sys, k, cap)
+        images = [apply(r, mod_k) for r in partition.representatives]
         off_sphere = 0
-        images = []
-        for r in reps:
-            img = apply(r, mod_k)
-            images.append(img)
+        for img in images:
             d = (img - 1) % mod_k
             if d == 0 or int_valuation(d, p) != l:
                 off_sphere += 1
         entry = {
             "depth": k,
-            "ball_count": len(reps),
+            "ball_count": partition.ball_count,
             "images_off_sphere": off_sphere,
         }
         if off_sphere == 0:
-            mapping = []
-            index = {r: i for i, r in enumerate(reps)}
-            bijective = True
-            for img in images:
-                if img not in index:
-                    bijective = False
-                    break
-                mapping.append(index[img])
-            bijective = bijective and sorted(mapping) == list(range(len(reps)))
-            entry["ball_map_bijective"] = bijective
-            if bijective:
-                _, lengths = _cycles_of_mapping(mapping)
-                entry["cycle_lengths"] = sorted(lengths)
-                entry["transitive_observed"] = len(lengths) == 1
+            try:
+                perm = _permutation_from_images(partition, images)
+            except IntegrityError:
+                entry["ball_map_bijective"] = False
+            else:
+                entry["ball_map_bijective"] = True
+                entry["cycle_lengths"] = sorted(perm.cycle_lengths)
+                entry["transitive_observed"] = perm.is_transitive
         per_depth.append(entry)
     observations["per_depth"] = per_depth
     observations["generator_mod_p2"] = is_generator_mod_p2(n, p)

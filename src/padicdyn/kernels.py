@@ -1,58 +1,22 @@
 """Hot loops for exhaustive residue sweeps: batch modular powers, permutation
-cycle scans, and valuation tables.
+cycle scans, and valuation tables, all numpy over int64.
 
-Two interchangeable backends compute identical int64 results:
-
-* ``numba`` - @njit-compiled loops (default when numba imports cleanly);
-* ``numpy`` - vectorized square-and-multiply and plain array walks.
-
-Selection: set ``PADICDYN_BACKEND=numpy`` (or ``numba``) in the environment,
-or call :func:`set_backend` at runtime. Every kernel is int64-only and guards
-``modulus <= INT64_SAFE_MODULUS`` so products cannot overflow; callers route
-larger moduli through ordinary Python big-int arithmetic.
+:func:`power_map` guards ``modulus <= INT64_SAFE_MODULUS`` so products cannot
+overflow; :func:`power_map_any` routes larger moduli through ordinary Python
+big-int arithmetic.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 # isqrt(2^63 - 1): squares below this cannot overflow a signed 64-bit product.
 INT64_SAFE_MODULUS = 3_037_000_499
 
-_ENV_FLAG = "PADICDYN_BACKEND"
-
-
-def _load_numba():
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    return njit
-
-
-_env = os.environ.get(_ENV_FLAG, "").strip().lower()
-_njit = None if _env == "numpy" else _load_numba()
-_backend = "numpy" if _njit is None else "numba"
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _load_numba() is not None else ("numpy",)
-
 
 def get_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str) -> None:
-    """Force a backend; 'numba' requires numba to be importable."""
-    global _backend
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and _load_numba() is None:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
+    """Name of the array backend every kernel runs on."""
+    return "numpy"
 
 
 def _check_modulus(modulus: int) -> None:
@@ -60,23 +24,12 @@ def _check_modulus(modulus: int) -> None:
         raise ValueError(f"modulus {modulus} outside int64-safe kernel range")
 
 
-# -- numpy backend ----------------------------------------------------------
+def _check_permutation_range(arr: np.ndarray) -> None:
+    if arr.size and (arr.min() < 0 or arr.max() >= arr.size):
+        raise ValueError("not a permutation array: an entry indexes out of range")
 
 
-def _power_map_numpy(values: np.ndarray, exponent: int, modulus: int) -> np.ndarray:
-    result = np.ones_like(values)
-    base = values % modulus
-    e = exponent
-    while e:
-        if e & 1:
-            result = (result * base) % modulus
-        e >>= 1
-        if e:
-            base = (base * base) % modulus
-    return result
-
-
-def _cycle_info_numpy(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _walk_cycles(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = perm.size
     visited = np.zeros(n, dtype=bool)
     starts = []
@@ -95,9 +48,39 @@ def _cycle_info_numpy(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(starts, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
 
 
-def _valuation_table_numpy(values: np.ndarray, p: int, cap: int) -> np.ndarray:
-    out = np.zeros(values.shape, dtype=np.int64)
-    rem = values.copy()
+def power_map(values, exponent: int, modulus: int) -> np.ndarray:
+    """Elementwise values[i]^exponent mod modulus over an int64 array."""
+    _check_modulus(modulus)
+    if exponent < 0:
+        raise ValueError("exponent must be non-negative")
+    base = np.ascontiguousarray(values, dtype=np.int64) % modulus
+    result = np.ones_like(base)
+    e = exponent
+    while e:
+        if e & 1:
+            result = (result * base) % modulus
+        e >>= 1
+        if e:
+            base = (base * base) % modulus
+    return result
+
+
+def cycle_info(perm) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle starts (least index per cycle, ascending) and lengths of a permutation array."""
+    arr = np.ascontiguousarray(perm, dtype=np.int64)
+    _check_permutation_range(arr)
+    return _walk_cycles(arr)
+
+
+def valuation_table(values, p: int, cap: int) -> np.ndarray:
+    """Elementwise p-adic valuation, with zeros and deep values capped at ``cap``."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    arr = np.ascontiguousarray(values, dtype=np.int64)
+    if arr.size and arr.min() < 0:
+        raise ValueError("valuation_table expects non-negative residues")
+    out = np.zeros(arr.shape, dtype=np.int64)
+    rem = arr.copy()
     zero = rem == 0
     out[zero] = cap
     active = ~zero
@@ -114,153 +97,17 @@ def _valuation_table_numpy(values: np.ndarray, p: int, cap: int) -> np.ndarray:
     return out
 
 
-# -- numba backend ----------------------------------------------------------
-
-if _load_numba() is not None:
-    _njit_always = _load_numba()
-
-    @_njit_always(cache=True)
-    def _power_map_numba(values, exponent, modulus):  # pragma: no cover - jitted
-        out = np.empty(values.size, dtype=np.int64)
-        for i in range(values.size):
-            base = values[i] % modulus
-            e = exponent
-            acc = 1
-            while e:
-                if e & 1:
-                    acc = (acc * base) % modulus
-                e >>= 1
-                if e:
-                    base = (base * base) % modulus
-            out[i] = acc
-        return out
-
-    @_njit_always(cache=True)
-    def _cycle_info_numba(perm):  # pragma: no cover - jitted
-        # marks visits in the sign bit of a scratch copy: one memory stream,
-        # which matters because big walks are bound by random-access latency
-        n = perm.size
-        work = perm.copy()
-        starts = np.empty(n, dtype=np.int64)
-        lengths = np.empty(n, dtype=np.int64)
-        c = 0
-        for i in range(n):
-            if work[i] < 0:
-                continue
-            j = i
-            length = 0
-            while work[j] >= 0:
-                nxt = work[j]
-                work[j] = -1
-                j = nxt
-                length += 1
-            starts[c] = i
-            lengths[c] = length
-            c += 1
-        return starts[:c].copy(), lengths[:c].copy()
-
-    @_njit_always(cache=True)
-    def _valuation_table_numba(values, p, cap):  # pragma: no cover - jitted
-        out = np.empty(values.size, dtype=np.int64)
-        for i in range(values.size):
-            x = values[i]
-            if x == 0:
-                out[i] = cap
-                continue
-            v = 0
-            while v < cap and x % p == 0:
-                x //= p
-                v += 1
-            out[i] = v
-        return out
-
-    @_njit_always(cache=True)
-    def _pair_cycle_info_numba(base):  # pragma: no cover - jitted
-        # walks sigma x sigma on index pairs without materializing the m^2
-        # product array; only the m^2 visited bitmap is touched randomly
-        m = base.size
-        total = m * m
-        visited = np.zeros(total, dtype=np.uint8)
-        starts = np.empty(total, dtype=np.int64)
-        lengths = np.empty(total, dtype=np.int64)
-        c = 0
-        for s in range(total):
-            if visited[s]:
-                continue
-            i = s // m
-            j = s % m
-            length = 0
-            while visited[i * m + j] == 0:
-                visited[i * m + j] = 1
-                i = base[i]
-                j = base[j]
-                length += 1
-            starts[c] = s
-            lengths[c] = length
-            c += 1
-        return starts[:c].copy(), lengths[:c].copy()
-
-
-# -- public dispatchers ------------------------------------------------------
-
-
-def power_map(values, exponent: int, modulus: int) -> np.ndarray:
-    """Elementwise values[i]^exponent mod modulus over an int64 array."""
-    _check_modulus(modulus)
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    arr = np.ascontiguousarray(values, dtype=np.int64)
-    if _backend == "numba":
-        return _power_map_numba(arr, exponent, modulus)
-    return _power_map_numpy(arr, exponent, modulus)
-
-
-def cycle_info(perm) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle starts (least index per cycle, ascending) and lengths of a permutation array.
-
-    int32 input is walked as-is (large walks are memory-latency-bound, so the
-    narrower type is noticeably faster); anything else is coerced to int64.
-    """
-    arr = np.ascontiguousarray(perm)
-    if arr.dtype != np.int32:
-        arr = arr.astype(np.int64, copy=False)
-    if arr.size and (arr.min() < 0 or arr.max() >= arr.size):
-        raise ValueError("not a permutation array: an entry indexes out of range")
-    if _backend == "numba":
-        return _cycle_info_numba(arr)
-    return _cycle_info_numpy(arr)
-
-
-def valuation_table(values, p: int, cap: int) -> np.ndarray:
-    """Elementwise p-adic valuation, with zeros and deep values capped at ``cap``."""
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    arr = np.ascontiguousarray(values, dtype=np.int64)
-    if arr.size and arr.min() < 0:
-        raise ValueError("valuation_table expects non-negative residues")
-    flat = arr.reshape(-1)
-    if _backend == "numba":
-        out = _valuation_table_numba(flat, p, cap)
-    else:
-        out = _valuation_table_numpy(flat, p, cap)
-    return out.reshape(arr.shape)
-
-
 def pair_cycle_info(base) -> tuple[np.ndarray, np.ndarray]:
     """Cycle starts and lengths of sigma x sigma acting on all index pairs
     (i, j) -> (sigma(i), sigma(j)), flattened as i*len + j.
 
-    The pair permutation is walked implicitly from the base mapping, so only
-    a byte per pair is allocated.
+    The pair permutation is materialized as an int64 array of len^2 entries
+    and walked like any other permutation.
     """
     arr = np.ascontiguousarray(base, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= arr.size):
-        raise ValueError("not a permutation array: an entry indexes out of range")
-    if _backend == "numba":
-        return _pair_cycle_info_numba(arr)
+    _check_permutation_range(arr)
     m = arr.size
-    product = (arr[:, None] * m + arr[None, :]).reshape(-1)
-    return _cycle_info_numpy(product)
+    return _walk_cycles((arr[:, None] * m + arr[None, :]).reshape(-1))
 
 
 def power_map_any(values, exponent: int, modulus: int):

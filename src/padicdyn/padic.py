@@ -310,19 +310,6 @@ class Sphere:
         return out
 
 
-def ball_members(b: Ball) -> list[int]:
-    return b.members()
-
-
-def sphere_members(s: Sphere) -> list[int]:
-    return s.members()
-
-
-def unit_sphere_around_one(p: int, level: int, precision: int) -> Sphere:
-    """The sphere of radius p^-level around 1, the phase space of the dynamics."""
-    return Sphere(PadicInt.one(p, precision), level)
-
-
 def euler_phi_prime_power(p: int, l: int) -> int:
     """Order of the unit group mod p^l."""
     return (p - 1) * p ** (l - 1)

@@ -3,6 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.ntheory import n_order
 
 from padicdyn import kernels
 from padicdyn.dynamics import (
@@ -298,6 +301,67 @@ def test_conjugation_validation():
         conjugated_verdict(sys_, PadicInt.from_integer(2, 7, 5), 3)  # 2^3 != 2
     with pytest.raises(DomainError):
         conjugated_verdict(sys_, PadicInt.from_integer(-1, 7, 2), 3)  # too coarse
+
+
+@st.composite
+def _systems_and_depths(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    n = draw(st.integers(2, 200).filter(lambda n: n % p != 0))
+    return MonomialSystem(p, n, draw(st.integers(1, 3))), draw(st.integers(1, 4))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_systems_and_depths())
+def test_ball_cycles_follow_the_order_of_n(case):
+    # log conjugates x -> x^n on the sphere to u -> n*u on the units mod p^k,
+    # so every depth-k ball cycle has length o = ord_{p^k}(n).
+    sys_, k = case
+    pk = sys_.p**k
+    o = n_order(sys_.n % pk, pk)
+    expected = (o,) * ((pk - pk // sys_.p) // o)
+    assert induced_permutation(sys_, k).cycle_lengths == expected
+    with pytest.MonkeyPatch.context() as mp:
+        # power_map_any returns Python ints; they are small, so they rank as int64
+        mp.setattr(kernels, "INT64_SAFE_MODULUS", 1)
+        assert induced_permutation(sys_, k).cycle_lengths == expected
+    depth = max(k, 2)
+    base = minimality_verdict(sys_, depth).evidence.depths
+    for a in fixed_points(sys_, sys_.l + depth):
+        assert conjugated_verdict(sys_, a, depth).evidence.depths == base
+
+
+@pytest.mark.parametrize(
+    "p,n,l,k",
+    [
+        (19, 2, 13, 2),  # modulus 19^15 lies between 2**63 and 2**64
+        (3, 2, 38, 2),  # 3^40, same range
+        (23, 5, 12, 2),  # 23^14, same range
+        (3, 2, 60, 2),  # 3^62, beyond 2**64
+        (5, 3, 40, 3),  # 5^43, beyond 2**64
+    ],
+)
+def test_ball_cycles_beyond_int64(p, n, l, k):
+    # Images on both sides of 2**63 must be ranked exactly, not through float64.
+    sys_ = MonomialSystem(p, n, l)
+    part = sphere_partition(sys_, k)
+    assert part.modulus > 2**63
+    images = kernels.power_map_any(part.representatives, n, part.modulus)
+    assert max(images) >= 2**63
+    pk = p**k
+    o = n_order(n, pk)
+    expected = (o,) * ((pk - pk // p) // o)
+    assert induced_permutation(sys_, k).cycle_lengths == expected
+    base = minimality_verdict(sys_, k).evidence.depths
+    assert tuple(d.cycle_lengths for d in base) == tuple(
+        induced_permutation(sys_, d.depth).cycle_lengths for d in base
+    )
+    for a in fixed_points(sys_, l + k):
+        assert conjugated_verdict(sys_, a, k).evidence.depths == base
+    # a perturbation divisible by p^(l+2) leaves the depth-2 balls where they were
+    psys = PerturbedSystem(sys_, Polynomial.from_integers([0, 0, p ** (l + 2)], p, l + k + 2))
+    assert perturbed_ball_map(psys, 2).mapping == induced_permutation(sys_, 2).mapping
+    sweep = observe_marginal_perturbation(p, n, l, [0, 0, p ** (l + 2)], k_max=k)
+    assert all(e["ball_map_bijective"] for e in sweep["per_depth"])
 
 
 # -- product system -------------------------------------------------------------------

@@ -1,8 +1,4 @@
-"""Backend equivalence and guards for the int64 sweep kernels."""
-
-import os
-import subprocess
-import sys
+"""The numpy int64 sweep kernels, against plain-Python references, and their guards."""
 
 import numpy as np
 import pytest
@@ -10,41 +6,53 @@ import pytest
 from padicdyn import kernels
 
 
-@pytest.fixture
-def restore_backend():
-    before = kernels.get_backend()
-    yield
-    kernels.set_backend(before)
+def _walked_cycles(perm):
+    """Cycle starts and lengths of a permutation list, by a plain walk."""
+    seen = [False] * len(perm)
+    starts, lengths = [], []
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, length = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        starts.append(i)
+        lengths.append(length)
+    return starts, lengths
 
 
-def test_default_backend_is_numba_when_available():
-    assert "numpy" in kernels.available_backends()
-    if "numba" in kernels.available_backends():
-        assert kernels.get_backend() in ("numba", "numpy")
+def _valuation_by_division(x, p, cap):
+    if x == 0:
+        return cap
+    v = 0
+    while v < cap and x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
-def test_power_map_matches_builtin_pow(restore_backend):
+def test_power_map_matches_builtin_pow():
     values = np.arange(1, 2000, dtype=np.int64)
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        out = kernels.power_map(values, 137, 2401)
-        assert [int(v) for v in out] == [pow(int(v), 137, 2401) for v in values]
+    out = kernels.power_map(values, 137, 2401)
+    assert [int(v) for v in out] == [pow(int(v), 137, 2401) for v in values]
 
 
-def test_backends_agree_on_all_kernels(restore_backend):
+def test_backends_agree_on_all_kernels():
+    """The numpy kernels agree with plain-Python pow, a walked cycle list and
+    repeated division on one sweep."""
     rng = np.arange(1, 5000, dtype=np.int64)
     modulus = 912673  # 97^3
-    results = {}
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        powers = kernels.power_map(rng, 97 * 96 + 1, modulus)
-        order = np.argsort(powers, kind="stable").astype(np.int64)
-        starts, lengths = kernels.cycle_info(order)
-        vals = kernels.valuation_table((powers - 1) % modulus, 97, 3)
-        results[backend] = (powers.tolist(), starts.tolist(), lengths.tolist(), vals.tolist())
-    first = next(iter(results.values()))
-    for got in results.values():
-        assert got == first
+    exponent = 97 * 96 + 1
+    powers = kernels.power_map(rng, exponent, modulus)
+    assert powers.tolist() == [pow(int(v), exponent, modulus) for v in rng]
+    order = np.argsort(powers, kind="stable").astype(np.int64)
+    starts, lengths = kernels.cycle_info(order)
+    assert (starts.tolist(), lengths.tolist()) == _walked_cycles(order.tolist())
+    residues = (powers - 1) % modulus
+    vals = kernels.valuation_table(residues, 97, 3)
+    assert vals.tolist() == [_valuation_by_division(int(x), 97, 3) for x in residues]
 
 
 def test_power_map_rejects_unsafe_modulus():
@@ -62,13 +70,11 @@ def test_power_map_any_big_modulus_python_path():
     assert out == [pow(v, 3, m) for v in values]
 
 
-def test_cycle_info_canonical_order(restore_backend):
+def test_cycle_info_canonical_order():
     perm = np.array([1, 0, 3, 2, 4], dtype=np.int64)
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        starts, lengths = kernels.cycle_info(perm)
-        assert starts.tolist() == [0, 2, 4]
-        assert lengths.tolist() == [2, 2, 1]
+    starts, lengths = kernels.cycle_info(perm)
+    assert starts.tolist() == [0, 2, 4]
+    assert lengths.tolist() == [2, 2, 1]
 
 
 def test_cycle_info_rejects_out_of_range():
@@ -78,49 +84,23 @@ def test_cycle_info_rejects_out_of_range():
         kernels.cycle_info(np.array([-1, 0], dtype=np.int64))
 
 
-def test_valuation_table_caps(restore_backend):
+def test_valuation_table_caps():
     vals = np.array([0, 1, 3, 9, 27, 81, 243], dtype=np.int64)
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        out = kernels.valuation_table(vals, 3, 4)
-        assert out.tolist() == [4, 0, 1, 2, 3, 4, 4]
+    out = kernels.valuation_table(vals, 3, 4)
+    assert out.tolist() == [4, 0, 1, 2, 3, 4, 4]
     with pytest.raises(ValueError):
         kernels.valuation_table(np.array([-3], dtype=np.int64), 3, 4)
 
 
-def test_pair_cycle_info_matches_materialized_product(restore_backend):
+def test_pair_cycle_info_matches_materialized_product():
     base = np.array([2, 0, 1, 4, 3, 5], dtype=np.int64)  # cycles (0 2 1), (3 4), (5)
     m = base.size
     product = (base[:, None] * m + base[None, :]).reshape(-1)
-    results = {}
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        starts, lengths = kernels.pair_cycle_info(base)
-        direct_starts, direct_lengths = kernels.cycle_info(product)
-        assert starts.tolist() == direct_starts.tolist()
-        assert lengths.tolist() == direct_lengths.tolist()
-        results[backend] = (starts.tolist(), lengths.tolist())
-    assert len({tuple(map(tuple, v)) for v in results.values()}) == 1
+    starts, lengths = kernels.pair_cycle_info(base)
+    assert (starts.tolist(), lengths.tolist()) == _walked_cycles(product.tolist())
     assert sum(lengths) == m * m
 
 
 def test_pair_cycle_info_rejects_out_of_range():
     with pytest.raises(ValueError):
         kernels.pair_cycle_info(np.array([1, 2], dtype=np.int64))
-
-
-def test_set_backend_validates():
-    with pytest.raises(ValueError):
-        kernels.set_backend("fortran")
-
-
-def test_env_flag_selects_numpy_backend():
-    code = "from padicdyn import kernels; print(kernels.get_backend())"
-    env = dict(os.environ, PADICDYN_BACKEND="numpy")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert out.stdout.strip() == "numpy"
