@@ -26,7 +26,13 @@ from . import kernels
 from .analysis import padic_log, roots_of_unity
 from .errors import DomainError, IntegrityError, ResourceError
 from .padic import PadicInt, Sphere, int_valuation, is_prime
-from .unitgroups import UnitGroupReport, generated_set, is_generator_mod_p2, unit_group_report
+from .unitgroups import (
+    UnitGroupReport,
+    generated_set,
+    is_generator_mod_p2,
+    multiplicative_order,
+    unit_group_report,
+)
 
 DEFAULT_BALL_CAP = 10**6
 DEFAULT_PAIR_CAP = 5 * 10**6
@@ -458,28 +464,31 @@ def product_nonmixing_report(
     sys: MonomialSystem,
     depth: int,
     cap: int = DEFAULT_BALL_CAP,
-    pair_cap: int = DEFAULT_PAIR_CAP,
     log_point_cap: int = 144,
 ) -> ProductReport:
     """Cycle structure of the product map on ball pairs, plus the invariant
     the product preserves: the class of log x / log y.
 
-    A transitive M-cycle squares to M cycles of length M, so the product is
-    never transitive once M >= 2 -- the obstruction to weak mixing at the
-    permutation level. The log-ratio class mod p^(l+depth) cannot move because
-    one step multiplies both logarithms by n; that linearity is checked
-    pointwise, and the ratio classes pairwise, on up to ``log_point_cap``
-    sphere points.
+    The product cycles come from the M-ball permutation's cycle lengths: a
+    pair of cycles of lengths a and b splits into gcd(a, b) cycles of length
+    lcm(a, b), so no pair is enumerated. A disagreement with the closed form,
+    M^2/o cycles of length o = ord(n mod p^depth), raises IntegrityError.
+    Since o <= M the product is never transitive once M >= 2 -- the
+    obstruction to weak mixing at the permutation level. The log-ratio class
+    mod p^(l+depth) cannot move because one step multiplies both logarithms
+    by n; that linearity is checked pointwise, and the ratio classes over all
+    pairs, on up to ``log_point_cap`` sphere points.
     """
     perm = induced_permutation(sys, depth, cap)
     m_count = perm.partition.ball_count
-    if m_count * m_count > pair_cap:
-        raise ResourceError(f"{m_count}^2 ball pairs exceed pair cap {pair_cap}")
-    _, lengths = kernels.pair_cycle_info(np.asarray(perm.mapping, dtype=np.int64))
-    lengths_list = sorted(int(x) for x in lengths)
-    mult: dict[int, int] = {}
-    for length in lengths_list:
-        mult[length] = mult.get(length, 0) + 1
+    lengths, counts = kernels.pair_cycle_info(perm.cycle_lengths)
+    mult = tuple(zip(lengths.tolist(), counts.tolist()))
+    order = multiplicative_order(sys.n, sys.p, depth)
+    if mult != ((order, m_count * m_count // order),):
+        raise IntegrityError(
+            f"product cycles {mult} disagree with the order {order} of n mod p^{depth}"
+        )
+    cycle_count = sum(count for _, count in mult)
 
     # Log ratios live one level deeper than the balls: working precision
     # 2l + depth determines the ratio class mod p^(l+depth) exactly.
@@ -507,30 +516,16 @@ def product_nonmixing_report(
     linearity_ok = all(
         sn == (n * s) % class_mod for s, sn in zip(shifted, shifted_next)
     )
-    phi = class_mod - class_mod // p
-    if class_mod <= kernels.INT64_SAFE_MODULUS:
-        s_arr = np.asarray(shifted, dtype=np.int64)
-        sn_arr = np.asarray(shifted_next, dtype=np.int64)
-        s_inv = kernels.power_map(s_arr, phi - 1, class_mod)
-        sn_inv = kernels.power_map(sn_arr, phi - 1, class_mod)
-        ratios = s_arr[:, None] * s_inv[None, :] % class_mod
-        ratios_next = sn_arr[:, None] * sn_inv[None, :] % class_mod
-        ratio_ok = bool((ratios == ratios_next).all())
-    else:
-        ratio_ok = True
-        for i, sx in enumerate(shifted):
-            for j, sy in enumerate(shifted):
-                lhs = sx * pow(sy, -1, class_mod) % class_mod
-                rhs = shifted_next[i] * pow(shifted_next[j], -1, class_mod) % class_mod
-                if lhs != rhs:
-                    ratio_ok = False
+    # For units, s_i/s_j = sn_i/sn_j for all pairs iff sn_i/s_i is constant.
+    ratio_classes = {sn * pow(s, -1, class_mod) % class_mod for s, sn in zip(shifted, shifted_next)}
+    ratio_ok = len(ratio_classes) <= 1
     return ProductReport(
         depth,
         m_count,
         m_count * m_count,
-        len(lengths_list),
-        tuple(sorted(mult.items())),
-        len(lengths_list) == 1,
+        cycle_count,
+        mult,
+        cycle_count == 1,
         len(points),
         linearity_ok,
         len(points) * len(points),
@@ -811,8 +806,9 @@ def isometry_scaling_check(
 
     Equality is required for odd p, and at p = 2 for odd n; at p = 2 with n
     even only the <= inequality is demanded. All valuations are capped at the
-    precision K. This is the fast-path sweep; the oracle module re-derives the
-    same law from plain integer powers.
+    precision K, and at most 10 violations are kept. This is the fast-path
+    sweep over the int64 kernels; the oracle module re-derives the same law
+    from plain integer powers.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -825,55 +821,36 @@ def isometry_scaling_check(
     pair_total = (p - 1) * class_size * (class_size - 1) // 2
     if pair_total > pair_cap:
         raise ResourceError(f"{pair_total} unit pairs exceed cap {pair_cap}")
+    if m > kernels.INT64_SAFE_MODULUS:
+        raise ResourceError(f"modulus {p}^{K} exceeds the int64 kernel range")
     vn = min(int_valuation(n, p), K)
     equality_required = p > 2 or n % 2 == 1
 
     equality = strict = 0
     violations: list[ScalingViolation] = []
-    use_kernels = m <= kernels.INT64_SAFE_MODULUS
-
     for c in range(1, p):
-        members = np.arange(c, m, p, dtype=np.int64) if use_kernels else list(range(c, m, p))
-        if use_kernels:
-            powers = kernels.power_map(members, n, m)
-            ii, jj = np.triu_indices(len(members), 1)
-            diff = members[jj] - members[ii]
-            vdiff = kernels.valuation_table(diff, p, K)
-            dpow = (powers[jj] - powers[ii]) % m
-            vpow = kernels.valuation_table(dpow, p, K)
-            expected = np.minimum(vdiff + vn, K)
-            eq_mask = vpow == expected
-            ge_mask = vpow >= expected
-            equality += int(eq_mask.sum())
-            strict += int((ge_mask & ~eq_mask).sum())
-            bad = ~eq_mask if equality_required else ~ge_mask
-            for idx in np.flatnonzero(bad)[:10]:
-                violations.append(
-                    ScalingViolation(
-                        int(members[ii[idx]]),
-                        int(members[jj[idx]]),
-                        int(vpow[idx]),
-                        int(expected[idx]),
-                    )
+        members = np.arange(c, m, p, dtype=np.int64)
+        powers = kernels.power_map(members, n, m)
+        ii, jj = np.triu_indices(len(members), 1)
+        diff = members[jj] - members[ii]
+        vdiff = kernels.valuation_table(diff, p, K)
+        dpow = (powers[jj] - powers[ii]) % m
+        vpow = kernels.valuation_table(dpow, p, K)
+        expected = np.minimum(vdiff + vn, K)
+        eq_mask = vpow == expected
+        ge_mask = vpow >= expected
+        equality += int(eq_mask.sum())
+        strict += int((ge_mask & ~eq_mask).sum())
+        bad = ~eq_mask if equality_required else ~ge_mask
+        for idx in np.flatnonzero(bad)[: 10 - len(violations)]:
+            violations.append(
+                ScalingViolation(
+                    int(members[ii[idx]]),
+                    int(members[jj[idx]]),
+                    int(vpow[idx]),
+                    int(expected[idx]),
                 )
-        else:
-            powers = [pow(x, n, m) for x in members]
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    d = members[j] - members[i]
-                    vd = min(int_valuation(d, p), K)
-                    dp = (powers[j] - powers[i]) % m
-                    vp_ = K if dp == 0 else min(int_valuation(dp, p), K)
-                    expected_v = min(vd + vn, K)
-                    if vp_ == expected_v:
-                        equality += 1
-                    elif vp_ > expected_v:
-                        strict += 1
-                    bad_pair = (vp_ != expected_v) if equality_required else (vp_ < expected_v)
-                    if bad_pair and len(violations) < 10:
-                        violations.append(
-                            ScalingViolation(members[i], members[j], vp_, expected_v)
-                        )
+            )
     return ScalingReport(
         p, n, K, pair_total, equality, strict, equality_required, tuple(violations)
     )

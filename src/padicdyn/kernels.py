@@ -1,5 +1,6 @@
 """Hot loops for exhaustive residue sweeps: batch modular powers, permutation
-cycle scans, and valuation tables, all numpy over int64.
+cycle scans, and valuation tables, all numpy over int64, plus the cycle
+structure of a product permutation from its factor's cycle lengths.
 
 :func:`power_map` guards ``modulus <= INT64_SAFE_MODULUS`` so products cannot
 overflow; :func:`power_map_any` routes larger moduli through ordinary Python
@@ -7,6 +8,8 @@ big-int arithmetic.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 import numpy as np
 
@@ -97,17 +100,26 @@ def valuation_table(values, p: int, cap: int) -> np.ndarray:
     return out
 
 
-def pair_cycle_info(base) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle starts and lengths of sigma x sigma acting on all index pairs
-    (i, j) -> (sigma(i), sigma(j)), flattened as i*len + j.
+def pair_cycle_info(lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle structure of sigma x sigma, (i, j) -> (sigma(i), sigma(j)), from
+    the cycle lengths of sigma alone: ascending distinct product cycle
+    lengths, and how many product cycles have each length.
 
-    The pair permutation is materialized as an int64 array of len^2 entries
-    and walked like any other permutation.
+    A pair of sigma-cycles of lengths a and b splits into gcd(a, b) cycles
+    of length lcm(a, b), so no pair is ever enumerated; the work is
+    quadratic only in the number of distinct lengths.
     """
-    arr = np.ascontiguousarray(base, dtype=np.int64)
-    _check_permutation_range(arr)
-    m = arr.size
-    return _walk_cycles((arr[:, None] * m + arr[None, :]).reshape(-1))
+    values, counts = np.unique(np.asarray(lengths, dtype=np.int64), return_counts=True)
+    if values.size and values[0] < 1:
+        raise ValueError("cycle lengths must be positive")
+    groups = list(zip(values.tolist(), counts.tolist()))
+    mult: dict[int, int] = {}
+    for a, count_a in groups:
+        for b, count_b in groups:
+            key = lcm(a, b)
+            mult[key] = mult.get(key, 0) + count_a * count_b * gcd(a, b)
+    keys = sorted(mult)
+    return np.asarray(keys, dtype=np.int64), np.asarray([mult[k] for k in keys], dtype=np.int64)
 
 
 def power_map_any(values, exponent: int, modulus: int):

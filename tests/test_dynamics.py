@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory import n_order
 
-from padicdyn import kernels
+from padicdyn import dynamics, kernels
 from padicdyn.dynamics import (
     BallIndicator,
     DigitValue,
@@ -29,7 +29,7 @@ from padicdyn.dynamics import (
     product_nonmixing_report,
     sphere_partition,
 )
-from padicdyn.errors import DomainError, ResourceError
+from padicdyn.errors import DomainError, IntegrityError, ResourceError
 from padicdyn.padic import PadicInt, Sphere, int_valuation
 from padicdyn.unitgroups import is_generator_mod_p2
 
@@ -391,6 +391,29 @@ def test_product_never_transitive_even_when_base_is_not():
     assert not rep.product_transitive
 
 
+def test_product_log_ratio_catches_a_moved_class(monkeypatch):
+    real_log = dynamics.padic_log
+    calls = []
+
+    def skewed_log(x):
+        out = real_log(x)
+        calls.append(x)
+        if len(calls) == 2:  # the image log of the first sphere point, times 2
+            return PadicInt(out.prime, out.precision, 2 * out.residue)
+        return out
+
+    monkeypatch.setattr(dynamics, "padic_log", skewed_log)
+    rep = product_nonmixing_report(MonomialSystem(5, 2, 1), 2)
+    assert rep.log_points_checked >= 2
+    assert not rep.log_linearity_ok and not rep.log_ratio_invariant
+
+
+def test_product_cross_checks_the_order_of_n(monkeypatch):
+    monkeypatch.setattr(dynamics, "multiplicative_order", lambda n, p, l: 2)  # ord_5(2) = 4
+    with pytest.raises(IntegrityError):
+        product_nonmixing_report(MonomialSystem(5, 2, 1), 1)
+
+
 # -- perturbations ---------------------------------------------------------------------
 
 
@@ -484,16 +507,36 @@ def test_scaling_law_identity_map():
     assert rep.passed and rep.strict_pairs == 0
 
 
-def test_scaling_law_python_fallback_agrees(monkeypatch):
-    fast = isometry_scaling_check(3, 2, 4)
+def test_scaling_law_python_fallback_agrees():
+    # the int64 sweep against a plain-Python loop over the same unit pairs
+    for p, n, K in ((3, 2, 4), (3, 6, 4), (2, 2, 5), (2, 3, 6), (5, 3, 3), (7, 7, 3)):
+        m, vn = p**K, min(int_valuation(n, p), K)
+        pairs = equality = strict = 0
+        for c in range(1, p):
+            members = range(c, m, p)
+            for i, x in enumerate(members):
+                for y in members[i + 1 :]:
+                    dp = (pow(y, n, m) - pow(x, n, m)) % m
+                    observed = K if dp == 0 else min(int_valuation(dp, p), K)
+                    expected = min(int_valuation(y - x, p) + vn, K)
+                    pairs += 1
+                    equality += observed == expected
+                    strict += observed > expected
+        rep = isometry_scaling_check(p, n, K)
+        assert (rep.pairs_checked, rep.equality_pairs, rep.strict_pairs) == (pairs, equality, strict)
+
+
+def test_scaling_law_rejects_moduli_beyond_int64(monkeypatch):
     monkeypatch.setattr(kernels, "INT64_SAFE_MODULUS", 10)
-    slow = isometry_scaling_check(3, 2, 4)
-    assert (slow.pairs_checked, slow.equality_pairs, slow.strict_pairs) == (
-        fast.pairs_checked,
-        fast.equality_pairs,
-        fast.strict_pairs,
-    )
-    assert slow.passed == fast.passed
+    with pytest.raises(ResourceError):
+        isometry_scaling_check(3, 2, 4)
+
+
+def test_scaling_law_keeps_ten_violations_in_total(monkeypatch):
+    # a wrong |n| makes every pair of both residue classes a violation
+    monkeypatch.setattr(dynamics, "int_valuation", lambda z, p: 1)
+    rep = isometry_scaling_check(3, 2, 4)
+    assert not rep.passed and len(rep.violations) == 10
 
 
 def test_scaling_law_pair_cap():

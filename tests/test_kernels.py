@@ -1,7 +1,11 @@
 """The numpy int64 sweep kernels, against plain-Python references, and their guards."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padicdyn import kernels
 
@@ -92,15 +96,19 @@ def test_valuation_table_caps():
         kernels.valuation_table(np.array([-3], dtype=np.int64), 3, 4)
 
 
-def test_pair_cycle_info_matches_materialized_product():
-    base = np.array([2, 0, 1, 4, 3, 5], dtype=np.int64)  # cycles (0 2 1), (3 4), (5)
-    m = base.size
-    product = (base[:, None] * m + base[None, :]).reshape(-1)
-    starts, lengths = kernels.pair_cycle_info(base)
-    assert (starts.tolist(), lengths.tolist()) == _walked_cycles(product.tolist())
-    assert sum(lengths) == m * m
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda m: st.permutations(range(m))))
+@example([2, 0, 1, 4, 3, 5])  # cycles (0 2 1), (3 4), (5)
+def test_pair_cycle_info_matches_materialized_product(base):
+    m = len(base)
+    product = [base[i] * m + base[j] for i in range(m) for j in range(m)]
+    _, walked = _walked_cycles(product)
+    lengths, counts = kernels.pair_cycle_info(_walked_cycles(base)[1])
+    assert list(zip(lengths.tolist(), counts.tolist())) == sorted(Counter(walked).items())
+    assert int((lengths * counts).sum()) == m * m
 
 
 def test_pair_cycle_info_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        kernels.pair_cycle_info(np.array([1, 2], dtype=np.int64))
+    for lengths in ([3, 0], [-1], [2, -4, 1]):
+        with pytest.raises(ValueError):
+            kernels.pair_cycle_info(lengths)
