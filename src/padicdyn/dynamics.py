@@ -115,7 +115,9 @@ def sphere_partition(sys: MonomialSystem, depth: int, cap: int = DEFAULT_BALL_CA
     if count > cap:
         raise ResourceError(f"partition of {count} balls exceeds cap {cap}")
     step = p**l
-    reps = tuple(1 + t * step for t in range(1, p**depth) if t % p != 0)
+    residues = list(range(1 + step, 1 + p**depth * step, step))  # 1 + t*step for 0 < t < p^depth
+    del residues[p - 1 :: p]  # the t divisible by p
+    reps = tuple(residues)
     if len(reps) != count:
         raise IntegrityError("partition enumeration lost representatives")
     return BallPartition(p, l, depth, reps)
@@ -149,7 +151,8 @@ class PermutationAction:
         return tuple(out)
 
     def fixed_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, j in enumerate(self.mapping) if i == j)
+        """Fixed balls, ascending: the starts of the cycles of length 1."""
+        return tuple(s for s, n in zip(self.cycle_starts, self.cycle_lengths) if n == 1)
 
 
 def _rank_of_t(t, p):

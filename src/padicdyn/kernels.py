@@ -2,6 +2,9 @@
 cycle scans, and valuation tables, all numpy over int64, plus the cycle
 structure of a product permutation from its factor's cycle lengths.
 
+:func:`cycle_info` scans cycles by pointer jumping, O(n log n) vectorized
+gathers with no per-element Python loop, and rejects non-permutations.
+
 :func:`power_map` guards ``modulus <= INT64_SAFE_MODULUS`` so products cannot
 overflow; :func:`power_map_any` routes larger moduli through ordinary Python
 big-int arithmetic.
@@ -27,30 +30,6 @@ def _check_modulus(modulus: int) -> None:
         raise ValueError(f"modulus {modulus} outside int64-safe kernel range")
 
 
-def _check_permutation_range(arr: np.ndarray) -> None:
-    if arr.size and (arr.min() < 0 or arr.max() >= arr.size):
-        raise ValueError("not a permutation array: an entry indexes out of range")
-
-
-def _walk_cycles(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = perm.size
-    visited = np.zeros(n, dtype=bool)
-    starts = []
-    lengths = []
-    for i in range(n):
-        if visited[i]:
-            continue
-        j = i
-        length = 0
-        while not visited[j]:
-            visited[j] = True
-            j = int(perm[j])
-            length += 1
-        starts.append(i)
-        lengths.append(length)
-    return np.asarray(starts, dtype=np.int64), np.asarray(lengths, dtype=np.int64)
-
-
 def power_map(values, exponent: int, modulus: int) -> np.ndarray:
     """Elementwise values[i]^exponent mod modulus over an int64 array."""
     _check_modulus(modulus)
@@ -69,10 +48,24 @@ def power_map(values, exponent: int, modulus: int) -> np.ndarray:
 
 
 def cycle_info(perm) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle starts (least index per cycle, ascending) and lengths of a permutation array."""
+    """Cycle starts (least index per cycle, ascending) and lengths of a permutation array.
+
+    Pointer jumping: after r rounds ``label[i]`` is the least of i, perm(i), ...,
+    perm^(2^r - 1)(i) and ``jump`` is perm^(2^r), so after ceil(log2 n) rounds of
+    vectorized gathers (O(n log n) work) every index carries the least index of
+    its cycle. A non-permutation raises ValueError: on a functional graph the
+    labels would silently merge a tail into the cycle it runs into.
+    """
     arr = np.ascontiguousarray(perm, dtype=np.int64)
-    _check_permutation_range(arr)
-    return _walk_cycles(arr)
+    n = arr.size
+    if n and (arr.min() < 0 or arr.max() >= n or (np.bincount(arr, minlength=n) != 1).any()):
+        raise ValueError("not a permutation array: an entry is out of range or repeated")
+    label, jump = np.arange(n, dtype=np.int64), arr
+    for _ in range((n - 1).bit_length()):
+        np.minimum(label, label[jump], out=label)
+        jump = jump[jump]
+    starts = np.flatnonzero(label == np.arange(n))
+    return starts, np.bincount(label, minlength=n)[starts]
 
 
 def valuation_table(values, p: int, cap: int) -> np.ndarray:

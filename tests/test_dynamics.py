@@ -76,6 +76,17 @@ def test_partition_is_sorted_and_indexable():
         part.index_of(1 + 7 * part.prime ** part.level * part.prime)
 
 
+@pytest.mark.parametrize("p,l,depth", [(19, 15, 2), (3, 40, 4), (7, 1, 3)])
+def test_partition_matches_the_filtered_enumeration(p, l, depth):
+    # The first two moduli, 19^17 and 3^44, lie above 2**63.
+    part = sphere_partition(MonomialSystem(p, 2, l), depth)
+    step = p**l
+    assert part.representatives == tuple(1 + t * step for t in range(1, p**depth) if t % p != 0)
+    assert list(part.representatives) == sorted(part.representatives)
+    for i, rep in enumerate(part.representatives):
+        assert part.index_of(rep) == i
+
+
 def test_partition_cap():
     with pytest.raises(ResourceError):
         sphere_partition(MonomialSystem(3, 2, 1), 20, cap=10**4)
@@ -328,6 +339,34 @@ def test_ball_cycles_follow_the_order_of_n(case):
     base = minimality_verdict(sys_, depth).evidence.depths
     for a in fixed_points(sys_, sys_.l + depth):
         assert conjugated_verdict(sys_, a, depth).evidence.depths == base
+
+
+@st.composite
+def _systems_with_fixed_balls(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    # n = 1 mod p fixes balls at depth 1 and, when n = 1 mod p^2, deeper too.
+    n = draw(
+        st.one_of(
+            st.integers(1, 2 * p * p).map(lambda j: 1 + j * p),
+            st.integers(2, 200).filter(lambda n: n % p != 0),
+        )
+    )
+    return MonomialSystem(p, n, draw(st.integers(1, 2))), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_systems_with_fixed_balls())
+def test_fixed_balls_match_a_scan_of_the_mapping(case):
+    sys_, k = case
+    k_max = max(k, 2)
+    expected_ball = None
+    for depth in range(1, k_max + 1):
+        perm = induced_permutation(sys_, depth)
+        scanned = tuple(i for i, j in enumerate(perm.mapping) if i == j)
+        assert perm.fixed_indices() == scanned
+        if expected_ball is None and not perm.is_transitive and scanned:
+            expected_ball = (depth, perm.partition.ball_center(scanned[0]))
+    assert minimality_verdict(sys_, k_max).evidence.invariant_ball == expected_ball
 
 
 @pytest.mark.parametrize(

@@ -88,6 +88,33 @@ def test_cycle_info_rejects_out_of_range():
         kernels.cycle_info(np.array([-1, 0], dtype=np.int64))
 
 
+def test_cycle_info_rejects_non_bijections():
+    # In range but not bijective: pointer jumping would merge the tail into a cycle.
+    for perm in ([0, 0], [1, 1, 0]):
+        with pytest.raises(ValueError):
+            kernels.cycle_info(np.array(perm, dtype=np.int64))
+
+
+def _single_cycle(m):
+    return [*range(1, m), 0]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(0, 300).flatmap(lambda m: st.permutations(range(m))))
+@example([])
+@example(list(range(17)))
+# A cycle of length 2^k needs exactly k jumping rounds; 2^k + 1 needs one more.
+@example(_single_cycle(2))
+@example(_single_cycle(3))
+@example(_single_cycle(64))
+@example(_single_cycle(65))
+@example(_single_cycle(256))
+@example(_single_cycle(257))
+def test_cycle_info_matches_a_walk(perm):
+    starts, lengths = kernels.cycle_info(np.array(perm, dtype=np.int64))
+    assert (starts.tolist(), lengths.tolist()) == _walked_cycles(perm)
+
+
 def test_valuation_table_caps():
     vals = np.array([0, 1, 3, 9, 27, 81, 243], dtype=np.int64)
     out = kernels.valuation_table(vals, 3, 4)
