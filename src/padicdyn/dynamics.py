@@ -9,9 +9,11 @@ around other fixed points, the never-mixing product construction, and the
 behaviour of additively perturbed power maps.
 
 Residue sweeps run through the numpy int64 kernels when the modulus permits
-and fall back to Python big ints otherwise. Every ball permutation, whatever
-map it comes from, is checked and scanned by one routine,
-:func:`_permutation_from_images`.
+and fall back to Python big ints otherwise. One routine, :func:`_ball_ranks`,
+tests whether images lie on the sphere and ranks their balls; every ball
+permutation, whatever map it comes from, is checked and scanned by
+:func:`_permutation_from_images` on top of it, and every verdict, around 1 or
+around another fixed point, is assembled by :func:`_verdict_from_depths`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import kernels
 from .analysis import padic_log, roots_of_unity
 from .errors import DomainError, IntegrityError, ResourceError
-from .padic import PadicInt, Sphere, int_valuation, is_prime
+from .padic import PadicInt, int_valuation, is_prime
 from .unitgroups import (
     UnitGroupReport,
     generated_set,
@@ -69,9 +71,6 @@ class MonomialSystem:
             )
         if self.l < 1:
             raise DomainError("sphere level must be at least 1")
-
-    def sphere(self, precision: int) -> Sphere:
-        return Sphere(PadicInt.one(self.p, precision), self.l)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,24 +139,28 @@ class PermutationAction:
     def is_transitive(self) -> bool:
         return len(self.cycle_lengths) == 1
 
-    def cycle_members(self, which: int) -> tuple[int, ...]:
-        """Indices of one cycle, starting from its least member."""
-        start = self.cycle_starts[which]
-        out = [start]
-        j = self.mapping[start]
-        while j != start:
-            out.append(j)
-            j = self.mapping[j]
-        return tuple(out)
-
     def fixed_indices(self) -> tuple[int, ...]:
         """Fixed balls, ascending: the starts of the cycles of length 1."""
         return tuple(s for s, n in zip(self.cycle_starts, self.cycle_lengths) if n == 1)
 
 
-def _rank_of_t(t, p):
-    """Rank of t among 1..p^k-1 skipping multiples of p (array or scalar)."""
-    return (t - 1) - (t - 1) // p
+def _ball_ranks(partition: BallPartition, images) -> tuple[np.ndarray, np.ndarray]:
+    """The sphere test and the ball ranks of a batch of residues.
+
+    ``images`` are residues reduced mod the partition modulus (int64 array or
+    Python ints). Returns ``(ranks, on_sphere)``: whether each residue lies on
+    the sphere |x - 1| = p^-l, and the int64 index of its ball, meaningful only
+    where it does. The arithmetic dtype follows the modulus, not the values:
+    left to itself numpy reads a mix of ints below and above 2**63 as float64.
+    """
+    p, step = partition.prime, partition.prime**partition.level
+    dtype = np.int64 if partition.modulus <= _INT64_MAX else object
+    t = np.asarray(images, dtype=dtype) - 1
+    on_sphere = t % step == 0
+    t //= step  # the residue is 1 + t*p^l, on the sphere exactly when p does not divide t
+    on_sphere &= t % p != 0
+    ranks = (t - 1) - (t - 1) // p  # rank of t among 1..p^k-1 skipping multiples of p
+    return ranks.astype(np.int64, copy=False), on_sphere
 
 
 def _permutation_from_images(partition: BallPartition, images) -> PermutationAction:
@@ -165,23 +168,16 @@ def _permutation_from_images(partition: BallPartition, images) -> PermutationAct
     permutation they induce, with its cycle structure.
 
     ``images[i]`` is the image of representative i, reduced mod the partition
-    modulus (int64 array or Python ints). The dtype follows the modulus, not
-    the values: left to itself numpy reads a mix of ints below and above 2**63
-    as float64. Raises IntegrityError when an image leaves the sphere or the
-    ball map is not a bijection.
+    modulus. Raises IntegrityError when an image leaves the sphere or the ball
+    map is not a bijection.
     """
-    p, step = partition.prime, partition.prime**partition.level
-    dtype = np.int64 if partition.modulus <= _INT64_MAX else object
-    t = np.asarray(images, dtype=dtype) - 1
-    on_sphere = t % step == 0
-    t //= step
-    if not on_sphere.all() or (t % p == 0).any():
+    mapping, on_sphere = _ball_ranks(partition, images)
+    if not on_sphere.all():
         raise IntegrityError("a ball image left the sphere")
-    mapping = _rank_of_t(t, p).astype(np.int64, copy=False)
-    counts = np.bincount(mapping, minlength=partition.ball_count)
-    if (counts != 1).any():
-        raise IntegrityError("the ball map is not a bijection")
-    starts, lengths = kernels.cycle_info(mapping)
+    try:
+        starts, lengths = kernels.cycle_info(mapping)
+    except ValueError:
+        raise IntegrityError("the ball map is not a bijection") from None
     return PermutationAction(
         partition, tuple(mapping.tolist()), tuple(starts.tolist()), tuple(lengths.tolist())
     )
@@ -237,7 +233,17 @@ class Verdict:
             raise IntegrityError("verdict flags must coincide")
 
 
-def _verdict_from_depths(sys: MonomialSystem, depth_perms: list[PermutationAction]) -> Verdict:
+def _verdict_from_depths(
+    sys: MonomialSystem, depth_perms: list[PermutationAction], a: int = 1
+) -> Verdict:
+    """Cross-check the ball permutations at each depth against the generator
+    test mod p^2 and assemble the verdict.
+
+    The permutations act on the balls a*c of the sphere around the fixed point
+    a, written in the standard coordinates c; the invariant ball, reported at
+    the first depth that has one, is centred at the least a*c mod p^(l+k)
+    over the fixed balls.
+    """
     gen_report = unit_group_report(sys.n, sys.p, 2)
     gen = gen_report.is_generator
     depths = []
@@ -258,7 +264,8 @@ def _verdict_from_depths(sys: MonomialSystem, depth_perms: list[PermutationActio
         if invariant_ball is None and not perm.is_transitive:
             fixed = perm.fixed_indices()
             if fixed:
-                invariant_ball = (k, perm.partition.ball_center(fixed[0]))
+                m = perm.partition.modulus
+                invariant_ball = (k, min(a * perm.partition.ball_center(i) % m for i in fixed))
     evidence = VerdictEvidence(
         gen_report,
         tuple(sorted(generated_set(sys.n, sys.p**2))),
@@ -400,8 +407,10 @@ def conjugated_verdict(
     """Verdict for x -> x^n on the sphere around a fixed point a.
 
     Multiplication by a carries the standard partition to one of the sphere
-    around a; the induced permutations there must give exactly the verdict of
-    the base system, which is cross-checked before returning.
+    around a. The permutations induced there are ranked by
+    :func:`_permutation_from_images` and handed to the same assembler as
+    :func:`minimality_verdict`, :func:`_verdict_from_depths`, which checks every
+    depth against the generator test mod p^2, the base system's verdict.
     """
     if a.prime != sys.p:
         raise DomainError("fixed point lives at a different prime")
@@ -416,9 +425,7 @@ def conjugated_verdict(
     if k_max < 2:
         raise DomainError("k_max must be at least 2")
 
-    base = minimality_verdict(sys, k_max, cap)
-    depths = []
-    invariant_ball = None
+    perms = []
     for k in range(1, k_max + 1):
         std = sphere_partition(sys, k, cap)
         m = std.modulus
@@ -427,23 +434,8 @@ def conjugated_verdict(
         # The ball a*c maps to (a*c)^n; dividing by a brings the image back to
         # standard coordinates, where it is ranked like any other image.
         images = [a_inv * pow(a_res * c % m, sys.n, m) % m for c in std.representatives]
-        perm = _permutation_from_images(std, images)
-        depths.append(DepthCycles(k, std.ball_count, perm.cycle_lengths))
-        if invariant_ball is None and not perm.is_transitive:
-            fixed = perm.fixed_indices()
-            if fixed:
-                invariant_ball = (k, min(a_res * std.representatives[i] % m for i in fixed))
-        if k >= 2 and perm.is_transitive != base.minimal:
-            raise IntegrityError(
-                f"conjugated dynamics at depth {k} disagrees with the base verdict"
-            )
-    evidence = VerdictEvidence(
-        base.evidence.generator,
-        base.evidence.generated_mod_p2,
-        tuple(depths),
-        invariant_ball,
-    )
-    return Verdict(base.minimal, base.uniquely_ergodic, base.ergodic, evidence)
+        perms.append(_permutation_from_images(std, images))
+    return _verdict_from_depths(sys, perms, a.residue)
 
 
 # -- the product system never mixes -------------------------------------------
@@ -655,16 +647,11 @@ def perturbed_analysis(
 
     invariance = []
     for k in range(1, k_max + 1):
-        mod_k = p ** (l + k)
-        ok = True
-        reps = reps2 if k == 2 else sphere_partition(sys, k, cap).representatives
-        for r in reps:
-            img = psys.apply(r, mod_k)
-            d = (img - 1) % mod_k
-            if d == 0 or int_valuation(d, p) != l:
-                ok = False
-                break
-        invariance.append((k, ok))
+        part = part2 if k == 2 else sphere_partition(sys, k, cap)
+        images = [psys.apply(r, part.modulus) for r in part.representatives]
+        if k == 2:
+            images2 = images
+        invariance.append((k, bool(_ball_ranks(part, images)[1].all())))
 
     mismatches: list[CongruenceMismatch] = []
     mismatch_count = 0
@@ -685,7 +672,7 @@ def perturbed_analysis(
     # Necessary condition: the depth-2 ball action must be transitive exactly
     # when n generates the units mod p^2. Since q vanishes mod p^(l+2), this
     # action coincides with the unperturbed one; it is rebuilt from psi_q here.
-    depth2 = _permutation_from_images(part2, [psys.apply(r, mod2) for r in reps2])
+    depth2 = _permutation_from_images(part2, images2)
 
     return PerturbationReport(
         tuple(invariance),
@@ -747,14 +734,9 @@ def observe_marginal_perturbation(
     }
     per_depth = []
     for k in range(1, k_max + 1):
-        mod_k = p ** (l + k)
         partition = sphere_partition(sys, k, cap)
-        images = [apply(r, mod_k) for r in partition.representatives]
-        off_sphere = 0
-        for img in images:
-            d = (img - 1) % mod_k
-            if d == 0 or int_valuation(d, p) != l:
-                off_sphere += 1
+        images = [apply(r, partition.modulus) for r in partition.representatives]
+        off_sphere = int((~_ball_ranks(partition, images)[1]).sum())
         entry = {
             "depth": k,
             "ball_count": partition.ball_count,

@@ -1,7 +1,9 @@
 """Partitions, permutations, verdicts, averages, conjugation, products, perturbations."""
 
+import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,7 +114,9 @@ def test_fourth_power_fixes_both_balls():
 def test_squaring_at_depth_two_is_a_six_cycle():
     perm = induced_permutation(MonomialSystem(3, 2, 1), 2)
     assert perm.cycle_lengths == (6,)
-    members = perm.cycle_members(0)
+    members = [perm.cycle_starts[0]]
+    while perm.mapping[members[-1]] != members[0]:
+        members.append(perm.mapping[members[-1]])
     centers = [perm.partition.ball_center(i) for i in members]
     assert centers == [4, 16, 13, 7, 22, 25]  # direct iteration of squaring mod 27
 
@@ -124,6 +128,34 @@ def test_permutation_matches_plain_powers():
     for i, rep in enumerate(part.representatives):
         img = pow(rep, 3, part.modulus)
         assert part.representatives[perm.mapping[i]] == img
+
+
+def test_colliding_ball_images_raise_integrity_error():
+    part = sphere_partition(MonomialSystem(5, 2, 1), 2)
+    images = list(part.representatives)
+    images[3] = images[0]
+    with pytest.raises(IntegrityError, match="not a bijection"):
+        dynamics._permutation_from_images(part, images)
+
+
+@pytest.mark.parametrize("bad", [0, 1, 1 + 5**3])  # 1 + p^(l+1) lies at distance p^-(l+1)
+def test_off_sphere_ball_images_raise_integrity_error(bad):
+    part = sphere_partition(MonomialSystem(5, 2, 2), 2)
+    images = list(part.representatives)
+    images[7] = bad
+    with pytest.raises(IntegrityError, match="left the sphere"):
+        dynamics._permutation_from_images(part, images)
+
+
+def test_ball_ranks_flag_off_sphere_residues_beyond_int64():
+    part = sphere_partition(MonomialSystem(3, 2, 40), 2)  # modulus 3^42 > 2**63
+    reps = list(part.representatives)
+    off = [0, 1, 1 + 3**41, 1 + 2 * 3**41]  # the last two lie above 2**63
+    assert max(reps) > 2**63 and min(off[2:]) > 2**63
+    ranks, on_sphere = dynamics._ball_ranks(part, reps + off)
+    assert ranks.dtype == np.int64
+    assert on_sphere.tolist() == [True] * len(reps) + [False] * len(off)
+    assert ranks[: len(reps)].tolist() == list(range(len(reps)))
 
 
 def test_big_modulus_python_path_agrees(monkeypatch):
@@ -304,6 +336,51 @@ def test_conjugated_verdict_non_minimal_case():
     assert not base.minimal
     v = conjugated_verdict(sys_, a, 3)
     assert v.minimal is False
+
+
+def _conjugation_cases():
+    for p in (3, 5, 7, 11):
+        # n = 1 mod p fixes every depth-1 ball, so the centre is a least value
+        # over p-1 balls; n = 1 + p(p-1) fixes every Teichmuller point a
+        for n in (2, 3, p + 1, 2 * p - 1, 1 + p * (p - 1), 1 + p * p * (p - 1)):
+            if n % p != 0:
+                yield p, n
+
+
+@pytest.mark.parametrize("p,n", list(_conjugation_cases()))
+@pytest.mark.parametrize("l", [1, 2])
+def test_conjugated_invariant_ball_matches_a_scan(p, n, l):
+    sys_, k_max = MonomialSystem(p, n, l), 3
+    for a in fixed_points(sys_, l + k_max):
+        expected = None
+        for k in range(1, k_max + 1):
+            m = p ** (l + k)
+            fixed = [
+                a.residue * c % m
+                for c in sphere_partition(sys_, k).representatives
+                if pow(a.residue * c, n, m) == a.residue * c % m
+            ]
+            if fixed:
+                expected = (k, min(fixed))
+                break
+        v = conjugated_verdict(sys_, a, k_max)
+        assert v.evidence.invariant_ball == expected
+        assert v.minimal == is_generator_mod_p2(n, p)
+
+
+@pytest.mark.parametrize("p,n,l", [(7, 3, 1), (11, 3, 1), (5, 6, 2)])
+def test_conjugated_verdict_checks_the_generator_test(monkeypatch, p, n, l):
+    real = dynamics.unit_group_report
+
+    def flipped(n, p, l):
+        rep = real(n, p, l)
+        return dataclasses.replace(rep, is_generator=not rep.is_generator)
+
+    sys_ = MonomialSystem(p, n, l)
+    a = fixed_points(sys_, l + 3)[-1]
+    monkeypatch.setattr(dynamics, "unit_group_report", flipped)
+    with pytest.raises(IntegrityError):
+        conjugated_verdict(sys_, a, 3)
 
 
 def test_conjugation_validation():
@@ -510,6 +587,63 @@ def test_coefficient_precision_must_cover_the_modulus():
     psys = PerturbedSystem(MonomialSystem(3, 2, 1), Polynomial.from_integers([27], 3, 4))
     with pytest.raises(DomainError):
         perturbed_analysis(psys, 5, 3)  # needs residues mod 3^6, coefficients carry 3^4
+
+
+def _off_sphere_scan(images, p, l, modulus):
+    """Per-residue sphere test: is |img - 1| different from p^-l?"""
+    return [d == 0 or int_valuation(d, p) != l for d in ((img - 1) % modulus for img in images)]
+
+
+def _collapse_some_balls(p, n, l):
+    """A perturbation evaluator that sends every point whose first sphere digit
+    is 1 to the centre 1, off the sphere, except mod p^(l+2), where it
+    vanishes as an admissible q must."""
+
+    def evaluate(self, r, modulus):
+        if modulus == p ** (l + 2) or (r // p**l) % p != 1:
+            return 0
+        return (1 - pow(r, n, modulus)) % modulus
+
+    return evaluate
+
+
+@pytest.mark.parametrize("collapse", [False, True])
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 4), (5, 2), (5, 6), (7, 3), (7, 8)])
+def test_sphere_flags_match_a_per_residue_scan(monkeypatch, p, n, l, k_max, collapse):
+    if collapse:
+        monkeypatch.setattr(Polynomial, "evaluate_residue", _collapse_some_balls(p, n, l))
+    sys_ = MonomialSystem(p, n, l)
+    coeffs = [p ** (l + 2), 0, p ** (l + 2)]
+    psys = PerturbedSystem(sys_, Polynomial.from_integers(coeffs, p, l + k_max + 2))
+    expected_flags, expected_counts = [], []
+    for k in range(1, k_max + 1):
+        part = sphere_partition(sys_, k)
+        images = [psys.apply(r, part.modulus) for r in part.representatives]
+        off = _off_sphere_scan(images, p, l, part.modulus)
+        expected_flags.append((k, not any(off)))
+        expected_counts.append(sum(off))
+    assert (sum(expected_counts) > 0) == collapse  # the first depth always sees the collapse
+    if k_max >= 2:
+        assert perturbed_analysis(psys, k_max, 2).invariance_by_depth == tuple(expected_flags)
+    obs = observe_marginal_perturbation(p, n, l, coeffs, k_max)
+    assert [e["images_off_sphere"] for e in obs["per_depth"]] == expected_counts
+
+
+def test_marginal_observation_reports_a_collapsed_ball_map(monkeypatch):
+    # every image lands on 1 + p^l, the centre of ball 0
+    p, l = 3, 1
+    monkeypatch.setattr(
+        Polynomial,
+        "evaluate_residue",
+        lambda self, r, modulus: (1 + p**l - pow(r, 2, modulus)) % modulus,
+    )
+    obs = observe_marginal_perturbation(p, 2, l, [9], 3)
+    for e in obs["per_depth"]:
+        assert e["images_off_sphere"] == 0
+        assert e["ball_map_bijective"] is False
+        assert "cycle_lengths" not in e
 
 
 def test_marginal_observation_mode():
