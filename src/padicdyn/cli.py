@@ -14,14 +14,14 @@ import sys
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from . import __version__
 from .analysis import roots_of_unity
 from .dynamics import (
-    BallIndicator,
     MonomialSystem,
     PerturbedSystem,
     Polynomial,
-    birkhoff_average,
     haar_ball_measure,
     minimality_verdict,
     observe_marginal_perturbation,
@@ -243,25 +243,29 @@ def _cmd_orbit(args) -> int:
         print("orbit: --depth must be a positive integer", file=sys.stderr)
         return EXIT_USAGE
     sys_ = MonomialSystem(args.p, args.n, args.l)
-    precision = args.precision or (args.l + args.depth + 2)
+    precision = args.l + args.depth + 2 if args.precision is None else args.precision
     x0 = PadicInt.from_integer(args.x0, args.p, precision)
     orbit = orbit_residues(sys_, x0, args.steps)
-    part1 = sphere_partition(sys_, 1)
-    shadow = [part1.ball_center(part1.index_of(r)) for r in orbit]
     table = []
     for k in range(1, args.depth + 1):
         part = sphere_partition(sys_, k)
-        for center in part.representatives:
-            f = BallIndicator(center, args.l + k)
-            res = birkhoff_average(sys_, x0, f, args.steps)
+        if args.l + k > precision:
+            raise DomainError("indicator is finer than the point's precision")
+        ranks = part.indices_of(orbit)
+        if k == 1:
+            shadow = [part.representatives[i] for i in ranks.tolist()]
+        haar = haar_ball_measure(sys_, k)
+        visits = np.bincount(ranks, minlength=part.ball_count).tolist()
+        for center, count in zip(part.representatives, visits):
+            average = Fraction(count, args.steps)
             table.append(
                 {
                     "depth": k,
                     "ball_center": center,
                     "radius_exponent": args.l + k,
-                    "average": _frac(res.average),
-                    "haar": _frac(res.haar_value),
-                    "matches_haar": res.matches_haar,
+                    "average": _frac(average),
+                    "haar": _frac(haar),
+                    "matches_haar": average == haar,
                 }
             )
     params = {

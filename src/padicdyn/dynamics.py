@@ -10,16 +10,18 @@ behaviour of additively perturbed power maps.
 
 Residue sweeps run through the numpy int64 kernels when the modulus permits
 and fall back to Python big ints otherwise. One routine, :func:`_ball_ranks`,
-tests whether images lie on the sphere and ranks their balls; every ball
-permutation, whatever map it comes from, is checked and scanned by
-:func:`_permutation_from_images` on top of it, and every verdict, around 1 or
-around another fixed point, is assembled by :func:`_verdict_from_depths`.
+tests whether residues lie on the sphere and ranks their balls; the batch ball
+index :meth:`BallPartition.indices_of` and every checked ball permutation,
+:func:`_permutation_from_images`, are built on it. Every verdict, around 1 or
+around another fixed point, is assembled by :func:`_verdict_from_depths` from
+the base power-map permutations, which conjugation by a fixed point keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -94,12 +96,18 @@ class BallPartition:
     def ball_count(self) -> int:
         return len(self.representatives)
 
+    def indices_of(self, residues: list[int]) -> np.ndarray:
+        """Ranks of the balls containing ``residues``, which must all lie on the
+        sphere; the first one off it is named in the DomainError."""
+        ranks, on_sphere = _ball_ranks(self, [r % self.modulus for r in residues])
+        if not on_sphere.all():
+            off = residues[int(np.argmin(on_sphere))]
+            raise DomainError(f"residue {off} is not on the sphere at this depth")
+        return ranks
+
     def index_of(self, residue: int) -> int:
         """Rank of the ball containing ``residue`` (must lie on the sphere)."""
-        t, r = divmod(residue % self.modulus - 1, self.prime**self.level)
-        if r != 0 or t % self.prime == 0 or not 0 < t < self.prime**self.depth:
-            raise DomainError(f"residue {residue} is not on the sphere at this depth")
-        return (t - 1) - (t - 1) // self.prime
+        return int(self.indices_of([residue])[0])
 
     def ball_center(self, index: int) -> int:
         return self.representatives[index]
@@ -233,17 +241,17 @@ class Verdict:
             raise IntegrityError("verdict flags must coincide")
 
 
-def _verdict_from_depths(
-    sys: MonomialSystem, depth_perms: list[PermutationAction], a: int = 1
-) -> Verdict:
-    """Cross-check the ball permutations at each depth against the generator
-    test mod p^2 and assemble the verdict.
+def _verdict_from_depths(sys: MonomialSystem, k_max: int, cap: int, a: int = 1) -> Verdict:
+    """Cross-check the ball permutations at depths 1..k_max against the
+    generator test mod p^2 and assemble the verdict.
 
     The permutations act on the balls a*c of the sphere around the fixed point
-    a, written in the standard coordinates c; the invariant ball, reported at
-    the first depth that has one, is centred at the least a*c mod p^(l+k)
-    over the fixed balls.
+    a, written in the standard coordinates c, where the ball map is the base
+    one (see :func:`conjugated_verdict`); the invariant ball, reported at the
+    first depth that has one, is centred at the least a*c mod p^(l+k) over
+    the fixed balls.
     """
+    depth_perms = [induced_permutation(sys, k, cap) for k in range(1, k_max + 1)]
     gen_report = unit_group_report(sys.n, sys.p, 2)
     gen = gen_report.is_generator
     depths = []
@@ -284,8 +292,7 @@ def minimality_verdict(sys: MonomialSystem, k_max: int = 4, cap: int = DEFAULT_B
     """
     if k_max < 2:
         raise DomainError("k_max must be at least 2; depth 1 alone cannot decide")
-    perms = [induced_permutation(sys, k, cap) for k in range(1, k_max + 1)]
-    return _verdict_from_depths(sys, perms)
+    return _verdict_from_depths(sys, k_max, cap)
 
 
 # -- measures and averages ----------------------------------------------------
@@ -406,11 +413,11 @@ def conjugated_verdict(
 ) -> Verdict:
     """Verdict for x -> x^n on the sphere around a fixed point a.
 
-    Multiplication by a carries the standard partition to one of the sphere
-    around a. The permutations induced there are ranked by
-    :func:`_permutation_from_images` and handed to the same assembler as
-    :func:`minimality_verdict`, :func:`_verdict_from_depths`, which checks every
-    depth against the generator test mod p^2, the base system's verdict.
+    Multiplication by a carries the standard partition to the sphere around a,
+    where the ball a*c maps to a*c^n: a^-1 (a*c)^n = c^n because a^n = a, which
+    the check below asserts at a's precision >= l + k_max, so modulo every
+    p^(l+k). The base permutations thus go to the assembler of
+    :func:`minimality_verdict`, which centres the invariant ball at a*c.
     """
     if a.prime != sys.p:
         raise DomainError("fixed point lives at a different prime")
@@ -424,18 +431,7 @@ def conjugated_verdict(
         raise DomainError(f"{a.residue} is not a fixed point of x -> x^{sys.n}")
     if k_max < 2:
         raise DomainError("k_max must be at least 2")
-
-    perms = []
-    for k in range(1, k_max + 1):
-        std = sphere_partition(sys, k, cap)
-        m = std.modulus
-        a_res = a.residue % m
-        a_inv = pow(a_res, -1, m)
-        # The ball a*c maps to (a*c)^n; dividing by a brings the image back to
-        # standard coordinates, where it is ranked like any other image.
-        images = [a_inv * pow(a_res * c % m, sys.n, m) % m for c in std.representatives]
-        perms.append(_permutation_from_images(std, images))
-    return _verdict_from_depths(sys, perms, a.residue)
+    return _verdict_from_depths(sys, k_max, cap, a.residue)
 
 
 # -- the product system never mixes -------------------------------------------
@@ -492,12 +488,8 @@ def product_nonmixing_report(
     class_mod = p ** (l + depth)
     mod_w = p**kw
     step = p**l
-    points: list[int] = []
-    t = 1
-    while len(points) < log_point_cap and t < p ** (l + depth):
-        if t % p != 0:
-            points.append(1 + t * step)
-        t += 1
+    sphere_points = (1 + t * step for t in range(1, p ** (l + depth)) if t % p != 0)
+    points = list(islice(sphere_points, log_point_cap))
     shifted = []
     shifted_next = []
     for r in points:
@@ -736,7 +728,8 @@ def observe_marginal_perturbation(
     for k in range(1, k_max + 1):
         partition = sphere_partition(sys, k, cap)
         images = [apply(r, partition.modulus) for r in partition.representatives]
-        off_sphere = int((~_ball_ranks(partition, images)[1]).sum())
+        ranks, on_sphere = _ball_ranks(partition, images)
+        off_sphere = int((~on_sphere).sum())
         entry = {
             "depth": k,
             "ball_count": partition.ball_count,
@@ -744,13 +737,13 @@ def observe_marginal_perturbation(
         }
         if off_sphere == 0:
             try:
-                perm = _permutation_from_images(partition, images)
-            except IntegrityError:
+                lengths = kernels.cycle_info(ranks)[1].tolist()
+            except ValueError:
                 entry["ball_map_bijective"] = False
             else:
                 entry["ball_map_bijective"] = True
-                entry["cycle_lengths"] = sorted(perm.cycle_lengths)
-                entry["transitive_observed"] = perm.is_transitive
+                entry["cycle_lengths"] = sorted(lengths)
+                entry["transitive_observed"] = len(lengths) == 1
         per_depth.append(entry)
     observations["per_depth"] = per_depth
     observations["generator_mod_p2"] = is_generator_mod_p2(n, p)

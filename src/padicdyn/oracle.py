@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,9 +264,8 @@ def certify_minimality_criterion(
         raise ResourceError(f"{deepest_count} balls per sweep exceed cap {residue_cap}")
     units = [n for n in range(1, p * p) if n % p != 0]
     if jobs > 1:
-        chunks = [units[i::jobs] for i in range(jobs)]
-        tasks = [(p, tuple(l_list), k_max, chunk) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        tasks = [(p, tuple(l_list), k_max, units[i::jobs]) for i in range(min(jobs, len(units)))]
+        with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
             results = [case for part in pool.map(_minimality_chunk, tasks) for case in part]
         results.sort(key=lambda c: (c["n"], c["l"]))
     else:

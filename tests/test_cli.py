@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 
+import pytest
 
 from padicdyn import __version__
 from padicdyn.cli import main
+from padicdyn.dynamics import BallIndicator, MonomialSystem, birkhoff_average, sphere_partition
 from padicdyn.oracle import Certificate
+from padicdyn.padic import PadicInt
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +108,56 @@ def test_orbit_off_sphere_is_domain_error(capsys):
         capsys, "orbit", "--p", "3", "--n", "2", "--l", "1", "--x0", "10", "--steps", "3"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "p,n,l,x0,steps,depth",
+    [(3, 2, 1, 4, 50, 3), (3, 4, 2, 10, 30, 4), (5, 3, 2, 26, 60, 3), (7, 6, 1, 8, 40, 2)],
+)
+def test_orbit_rows_match_birkhoff_average(capsys, p, n, l, x0, steps, depth):
+    code, doc, _ = run_json(
+        capsys, "orbit", "--p", str(p), "--n", str(n), "--l", str(l), "--x0", str(x0),
+        "--steps", str(steps), "--depth", str(depth),
+    )
+    assert code == 0
+    sys_ = MonomialSystem(p, n, l)
+    start = PadicInt.from_integer(x0, p, doc["parameters"]["precision"])
+    expected = []
+    for k in range(1, depth + 1):
+        for center in sphere_partition(sys_, k).representatives:
+            res = birkhoff_average(sys_, start, BallIndicator(center, l + k), steps)
+            expected.append(
+                {
+                    "depth": k,
+                    "ball_center": center,
+                    "radius_exponent": l + k,
+                    "average": str(res.average),
+                    "haar": str(res.haar_value),
+                    "matches_haar": res.matches_haar,
+                }
+            )
+    results = doc["results"]
+    assert results["birkhoff"] == expected
+    assert results["depth1_ball_orbit"] == [r % p ** (l + 1) for r in results["orbit"]]
+
+
+def test_orbit_too_coarse_precision_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "orbit", "--p", "5", "--n", "3", "--l", "1", "--x0", "6", "--steps", "30",
+        "--depth", "4", "--precision", "3",
+    )
+    assert (code, out) == (2, "")
+    assert err == "padicdyn orbit: indicator is finer than the point's precision\n"
+
+
+@pytest.mark.parametrize("precision", ["0", "-1"])
+def test_orbit_non_positive_precision_is_domain_error(capsys, precision):
+    code, out, err = run_cli(
+        capsys, "orbit", "--p", "5", "--n", "3", "--l", "1", "--x0", "6", "--steps", "3",
+        "--precision", precision,
+    )
+    assert (code, out) == (2, "")
+    assert err == "padicdyn orbit: precision must be at least 1 digit\n"
 
 
 # -- verify -------------------------------------------------------------------------

@@ -89,6 +89,26 @@ def test_partition_matches_the_filtered_enumeration(p, l, depth):
         assert part.index_of(rep) == i
 
 
+@pytest.mark.parametrize("p,l,depth", [(7, 1, 3), (5, 2, 2), (19, 15, 2)])
+def test_batch_ball_index(p, l, depth):
+    # 19^17 lies above 2**63.
+    part = sphere_partition(MonomialSystem(p, 2, l), depth)
+    m = part.modulus
+    reps = list(part.representatives)
+    # residues are reduced mod the partition modulus first, negatives included
+    residues = reps + [r + 3 * m for r in reps] + [r - m for r in reps]
+    expected = list(range(part.ball_count)) * 3
+    assert part.indices_of(residues).tolist() == expected
+    assert [part.index_of(r) for r in residues] == expected
+    off = [1, 1 + p ** (l + 1), 2 + m]  # the centre, a point inside the sphere, a point outside
+    for i, bad in enumerate(off):
+        message = f"^residue {bad} is not on the sphere at this depth$"
+        with pytest.raises(DomainError, match=message):
+            part.indices_of(reps[:2] + off[i:] + reps)  # the first off-sphere residue is named
+        with pytest.raises(DomainError, match=message):
+            part.index_of(bad)
+
+
 def test_partition_cap():
     with pytest.raises(ResourceError):
         sphere_partition(MonomialSystem(3, 2, 1), 20, cap=10**4)
@@ -366,6 +386,33 @@ def test_conjugated_invariant_ball_matches_a_scan(p, n, l):
         v = conjugated_verdict(sys_, a, k_max)
         assert v.evidence.invariant_ball == expected
         assert v.minimal == is_generator_mod_p2(n, p)
+
+
+@pytest.mark.parametrize("p,n", list(_conjugation_cases()))
+@pytest.mark.parametrize("l", [1, 2])
+def test_conjugated_permutations_match_the_conjugated_images(monkeypatch, p, n, l):
+    # Reference: the ball a*c maps to (a*c)^n; a^-1 (a*c)^n, ranked by lookup,
+    # is the image of c in the standard coordinates.
+    seen = []
+    real = dynamics.induced_permutation
+
+    def recording(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(dynamics, "induced_permutation", recording)
+    sys_, k_max = MonomialSystem(p, n, l), 3
+    for a in fixed_points(sys_, l + k_max):
+        seen.clear()
+        depths = conjugated_verdict(sys_, a, k_max).evidence.depths
+        assert [perm.partition.depth for perm in seen] == [1, 2, 3]
+        assert [d.cycle_lengths for d in depths] == [perm.cycle_lengths for perm in seen]
+        for perm in seen:
+            reps, m = perm.partition.representatives, perm.partition.modulus
+            a_res = a.residue % m
+            a_inv = pow(a_res, -1, m)
+            rank = {c: i for i, c in enumerate(reps)}
+            assert perm.mapping == tuple(rank[a_inv * pow(a_res * c % m, n, m) % m] for c in reps)
 
 
 @pytest.mark.parametrize("p,n,l", [(7, 3, 1), (11, 3, 1), (5, 6, 2)])

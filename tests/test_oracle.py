@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicdyn import oracle
 from padicdyn.dynamics import MonomialSystem, induced_permutation
 from padicdyn.errors import DomainError, ResourceError
 from padicdyn.oracle import (
@@ -101,6 +102,31 @@ def test_minimality_criterion_parallel_matches_serial():
     serial = certify_minimality_criterion(5, (1, 2), 3, jobs=1)
     parallel = certify_minimality_criterion(5, (1, 2), 3, jobs=2)
     assert serial.digest == parallel.digest
+
+
+@pytest.mark.parametrize("jobs,cpus,workers", [(1000, 64, 20), (1000, 3, 3), (2, 64, 2), (1000, None, 1)])
+def test_minimality_criterion_caps_the_pool(monkeypatch, jobs, cpus, workers):
+    # p = 5 has 20 units mod 25, so no more than 20 chunks carry work.
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    cert = certify_minimality_criterion(5, (1, 2), 3, jobs=jobs)
+    assert requested == [workers]
+    assert cert.digest == certify_minimality_criterion(5, (1, 2), 3, jobs=1).digest
 
 
 # -- unique invariant distribution ------------------------------------------------------
