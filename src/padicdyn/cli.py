@@ -74,16 +74,31 @@ def _envelope(command: str, parameters: dict, results: dict) -> dict:
     }
 
 
-def _emit(args, envelope: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        payload = json.dumps(envelope, indent=2, sort_keys=True)
-        print(payload)
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte. json encodes in
+    Python when ``indent`` is set; here each list or dict of scalars is one C call."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner, is_dict = indent + "  ", isinstance(obj, dict)
+    if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:  # exact: no subclasses
+        body = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))[1:-1]
+    elif is_dict:
+        body = ("," + inner).join(json.dumps(k if isinstance(k, str) else json.dumps(k))
+                                  + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
     else:
-        for line in text_lines:
-            print(line)
+        body = ("," + inner).join(_dumps(v, inner) for v in obj)
+    return ("{" if is_dict else "[") + inner + body + indent + ("}" if is_dict else "]")
+
+
+def _emit(args, envelope: dict, text_lines: list[str]) -> None:
+    payload = _dumps(envelope) if args.format == "json" or args.out else None
+    print(payload if args.format == "json" else "\n".join(text_lines))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(envelope, indent=2, sort_keys=True))
+            fh.write(payload)
             fh.write("\n")
 
 
@@ -356,11 +371,7 @@ def _cmd_verify(args) -> int:
         lines.append(f"      digest: {c.digest}")
     all_pass = all(c.passed for c in certs)
     lines.append("all claims PASS" if all_pass else "verification FAILED")
-    if args.format == "json":
-        print(json.dumps(_envelope("verify", params, results), indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    print(_dumps(_envelope("verify", params, results)) if args.format == "json" else "\n".join(lines))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             for c in certs:

@@ -12,7 +12,9 @@ Residue sweeps run through the numpy int64 kernels when the modulus permits
 and fall back to Python big ints otherwise. One routine, :func:`_ball_ranks`,
 tests whether residues lie on the sphere and ranks their balls; the batch ball
 index :meth:`BallPartition.indices_of` and every checked ball permutation,
-:func:`_permutation_from_images`, are built on it. Every verdict, around 1 or
+:func:`_permutation_from_images`, are built on it. A :class:`PermutationAction`
+keeps the kernels' int64 arrays; the representatives of a partition and the
+cycle lengths a verdict reports are tuples of ints. Every verdict, around 1 or
 around another fixed point, is assembled by :func:`_verdict_from_depths` from
 the base power-map permutations, which conjugation by a fixed point keeps.
 """
@@ -130,26 +132,26 @@ def sphere_partition(sys: MonomialSystem, depth: int, cap: int = DEFAULT_BALL_CA
     return BallPartition(p, l, depth, reps)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PermutationAction:
-    """The permutation the power map induces on a ball partition."""
+    """The power map's permutation of a partition's balls, as int64 arrays (no ``==``)."""
 
     partition: BallPartition
-    mapping: tuple[int, ...]
-    cycle_starts: tuple[int, ...]
-    cycle_lengths: tuple[int, ...]
+    mapping: np.ndarray
+    cycle_starts: np.ndarray
+    cycle_lengths: np.ndarray
 
     def __post_init__(self) -> None:
-        if sum(self.cycle_lengths) != len(self.mapping):
+        if int(self.cycle_lengths.sum()) != self.mapping.size:
             raise IntegrityError("cycle lengths do not cover the partition")
 
     @property
     def is_transitive(self) -> bool:
-        return len(self.cycle_lengths) == 1
+        return self.cycle_lengths.size == 1
 
     def fixed_indices(self) -> tuple[int, ...]:
         """Fixed balls, ascending: the starts of the cycles of length 1."""
-        return tuple(s for s, n in zip(self.cycle_starts, self.cycle_lengths) if n == 1)
+        return tuple(self.cycle_starts[self.cycle_lengths == 1].tolist())
 
 
 def _ball_ranks(partition: BallPartition, images) -> tuple[np.ndarray, np.ndarray]:
@@ -179,16 +181,18 @@ def _permutation_from_images(partition: BallPartition, images) -> PermutationAct
     modulus. Raises IntegrityError when an image leaves the sphere or the ball
     map is not a bijection.
     """
-    mapping, on_sphere = _ball_ranks(partition, images)
+    return _permutation_from_ranks(partition, *_ball_ranks(partition, images))
+
+
+def _permutation_from_ranks(partition: BallPartition, mapping, on_sphere) -> PermutationAction:
+    """:func:`_permutation_from_images` for images already through :func:`_ball_ranks`."""
     if not on_sphere.all():
         raise IntegrityError("a ball image left the sphere")
     try:
         starts, lengths = kernels.cycle_info(mapping)
     except ValueError:
         raise IntegrityError("the ball map is not a bijection") from None
-    return PermutationAction(
-        partition, tuple(mapping.tolist()), tuple(starts.tolist()), tuple(lengths.tolist())
-    )
+    return PermutationAction(partition, mapping, starts, lengths)
 
 
 def induced_permutation(sys: MonomialSystem, depth: int, cap: int = DEFAULT_BALL_CAP) -> PermutationAction:
@@ -258,7 +262,7 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, cap: int, a: int = 1) 
     invariant_ball = None
     for perm in depth_perms:
         k = perm.partition.depth
-        depths.append(DepthCycles(k, perm.partition.ball_count, perm.cycle_lengths))
+        depths.append(DepthCycles(k, perm.partition.ball_count, tuple(perm.cycle_lengths.tolist())))
         if gen and not perm.is_transitive:
             raise IntegrityError(
                 f"generator at ({sys.p}, {sys.n}) but depth {k} is not transitive"
@@ -274,12 +278,8 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, cap: int, a: int = 1) 
             if fixed:
                 m = perm.partition.modulus
                 invariant_ball = (k, min(a * perm.partition.ball_center(i) % m for i in fixed))
-    evidence = VerdictEvidence(
-        gen_report,
-        tuple(sorted(generated_set(sys.n, sys.p**2))),
-        tuple(depths),
-        invariant_ball,
-    )
+    generated = tuple(np.sort(generated_set(sys.n, sys.p**2)).tolist())
+    evidence = VerdictEvidence(gen_report, generated, tuple(depths), invariant_ball)
     return Verdict(gen, gen, gen, evidence)
 
 
@@ -640,10 +640,10 @@ def perturbed_analysis(
     invariance = []
     for k in range(1, k_max + 1):
         part = part2 if k == 2 else sphere_partition(sys, k, cap)
-        images = [psys.apply(r, part.modulus) for r in part.representatives]
+        ranked = _ball_ranks(part, [psys.apply(r, part.modulus) for r in part.representatives])
         if k == 2:
-            images2 = images
-        invariance.append((k, bool(_ball_ranks(part, images)[1].all())))
+            ranked2 = ranked
+        invariance.append((k, bool(ranked[1].all())))
 
     mismatches: list[CongruenceMismatch] = []
     mismatch_count = 0
@@ -664,7 +664,7 @@ def perturbed_analysis(
     # Necessary condition: the depth-2 ball action must be transitive exactly
     # when n generates the units mod p^2. Since q vanishes mod p^(l+2), this
     # action coincides with the unperturbed one; it is rebuilt from psi_q here.
-    depth2 = _permutation_from_images(part2, images2)
+    depth2 = _permutation_from_ranks(part2, *ranked2)
 
     return PerturbationReport(
         tuple(invariance),

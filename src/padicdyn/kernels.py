@@ -3,7 +3,8 @@ cycle scans, and valuation tables, all numpy over int64, plus the cycle
 structure of a product permutation from its factor's cycle lengths.
 
 :func:`cycle_info` scans cycles by pointer jumping, O(n log n) vectorized
-gathers with no per-element Python loop, and rejects non-permutations.
+gathers with no per-element Python loop, and rejects non-permutations; its
+gathers reuse two buffers, about 24 bytes per element with the labels.
 
 :func:`power_map` guards ``modulus <= INT64_SAFE_MODULUS`` so products cannot
 overflow; :func:`power_map_any` routes larger moduli through ordinary Python
@@ -53,19 +54,25 @@ def cycle_info(perm) -> tuple[np.ndarray, np.ndarray]:
     Pointer jumping: after r rounds ``label[i]`` is the least of i, perm(i), ...,
     perm^(2^r - 1)(i) and ``jump`` is perm^(2^r), so after ceil(log2 n) rounds of
     vectorized gathers (O(n log n) work) every index carries the least index of
-    its cycle. A non-permutation raises ValueError: on a functional graph the
-    labels would silently merge a tail into the cycle it runs into.
+    its cycle. The gathers write into two preallocated buffers that ``jump``
+    swaps between; the input is copied once and never written. A
+    non-permutation raises ValueError: on a functional graph the labels would
+    silently merge a tail into the cycle it runs into.
     """
-    arr = np.ascontiguousarray(perm, dtype=np.int64)
-    n = arr.size
-    if n and (arr.min() < 0 or arr.max() >= n or (np.bincount(arr, minlength=n) != 1).any()):
+    jump = np.array(perm, dtype=np.int64)
+    n = jump.size
+    if n and (jump.min() < 0 or jump.max() >= n or (np.bincount(jump, minlength=n) != 1).any()):
         raise ValueError("not a permutation array: an entry is out of range or repeated")
-    label, jump = np.arange(n, dtype=np.int64), arr
+    label, spare = np.arange(n, dtype=np.int64), np.empty_like(jump)
     for _ in range((n - 1).bit_length()):
-        np.minimum(label, label[jump], out=label)
-        jump = jump[jump]
-    starts = np.flatnonzero(label == np.arange(n))
-    return starts, np.bincount(label, minlength=n)[starts]
+        # mode="clip" skips the out-buffering of mode="raise"; indices are checked above
+        np.take(label, jump, out=spare, mode="clip")
+        np.minimum(label, spare, out=label)
+        np.take(jump, jump, out=spare, mode="clip")
+        jump, spare = spare, jump
+    counts = np.bincount(label, minlength=n)  # nonzero exactly at the cycle starts
+    starts = np.flatnonzero(counts)
+    return starts, counts[starts]
 
 
 def valuation_table(values, p: int, cap: int) -> np.ndarray:

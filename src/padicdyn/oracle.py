@@ -368,6 +368,8 @@ def certify_unique_invariance(
     invariant probability vector is exhibited as the witness of non-unique
     invariance (and hence of non-ergodicity).
     """
+    if k < 1:
+        raise DomainError("k must be at least 1")
     if p == 2:
         raise DomainError("criterion undefined at p = 2")
     if not is_prime(p):

@@ -7,6 +7,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
+from . import kernels
 from .errors import DomainError, ResourceError
 from .padic import euler_phi_prime_power, factorize, is_prime
 
@@ -79,14 +82,15 @@ def generated_set(n: int, modulus: int, cap: int = DEFAULT_RESIDUE_CAP) -> list[
         raise DomainError(f"{n} is not coprime to {modulus}")
     if modulus > cap:
         raise ResourceError(f"modulus {modulus} exceeds residue cap {cap}")
-    out = []
-    x = n % modulus
-    while True:
-        out.append(x)
-        if x == 1:
-            break
-        x = (x * n) % modulus
-    return out
+    # By doubling: the next block is the powers so far times n^len. int64
+    # products are exact up to INT64_SAFE_MODULUS; Python ints above it.
+    powers = np.array([n % modulus], dtype=np.int64 if modulus <= kernels.INT64_SAFE_MODULUS else object)
+    ones = np.flatnonzero(powers == 1)
+    while not ones.size:
+        block = powers * pow(n, powers.size, modulus) % modulus
+        ones = np.flatnonzero(block == 1) + powers.size
+        powers = np.concatenate((powers, block))
+    return powers[: ones[0] + 1].tolist()
 
 
 @dataclass(frozen=True, slots=True)

@@ -6,9 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padicdyn import __version__
-from padicdyn.cli import main
+from padicdyn.cli import _dumps, main
 from padicdyn.dynamics import BallIndicator, MonomialSystem, birkhoff_average, sphere_partition
 from padicdyn.oracle import Certificate
 from padicdyn.padic import PadicInt
@@ -62,6 +64,43 @@ def test_parse_failure_is_usage_error(capsys):
     capsys.readouterr()
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
+
+
+def test_analyze_out_file_matches_stdout(capsys, tmp_path):
+    args = ("analyze", "--p", "7", "--n", "3", "--l", "1", "--depth", "3")
+    json_out, text_out = tmp_path / "json.json", tmp_path / "text.json"
+    code, out, _ = run_cli(capsys, *args, "--format", "json", "--out", str(json_out))
+    assert code == 0
+    assert json_out.read_bytes() == out.encode("ascii")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    code, _, _ = run_cli(capsys, *args, "--out", str(text_out))
+    assert code == 0
+    assert text_out.read_bytes() == json_out.read_bytes()
+
+
+_ints = st.integers(-(2**70), 2**70)
+_json_leaves = (
+    st.none() | st.booleans() | _ints | st.floats() | st.text()
+    | st.lists(_ints) | st.lists(_ints | st.booleans())
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=4)
+    | st.dictionaries(_ints, kids, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_json_trees)
+@example([1, True, 2, False, 0])
+@example({"\u00e9": [], "a": {}, "b": [[], [3]], "c": (1, 2), "d": "snow \u2603"})
+@example({3: [-(2**65), 2**64 + 1], -1: None, 0: [0.5, float("nan"), -0.0]})
+@example({False: [True], 1.5: [], 2: {}})  # bool and float keys, as json spells them
+@example({None: [1]})
+def test_dumps_matches_indented_json_dumps(tree):
+    assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
 
 def test_json_output_is_byte_identical(capsys):
@@ -193,6 +232,12 @@ def test_verify_unique_needs_n(capsys):
     assert code == 2
     code, doc, _ = run_json(capsys, "verify", "unique", "--p", "3", "--n", "2", "--l", "1", "--k", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_verify_unique_rejects_k_below_one(capsys, k):
+    code, out, err = run_cli(capsys, "verify", "unique", "--p", "3", "--n", "2", "--k", k)
+    assert (code, out, err) == (2, "", "padicdyn verify: k must be at least 1\n")
 
 
 def test_verify_log_isometry(capsys):

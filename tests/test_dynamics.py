@@ -119,14 +119,14 @@ def test_partition_cap():
 
 def test_squaring_swaps_the_two_balls():
     perm = induced_permutation(MonomialSystem(3, 2, 1), 1)
-    assert perm.mapping == (1, 0)
-    assert perm.cycle_lengths == (2,)
+    assert perm.mapping.tolist() == [1, 0]
+    assert perm.cycle_lengths.tolist() == [2]
     assert perm.is_transitive
 
 
 def test_fourth_power_fixes_both_balls():
     perm = induced_permutation(MonomialSystem(3, 4, 1), 1)
-    assert perm.mapping == (0, 1)
+    assert perm.mapping.tolist() == [0, 1]
     assert perm.fixed_indices() == (0, 1)
     assert not perm.is_transitive
 
@@ -178,13 +178,22 @@ def test_ball_ranks_flag_off_sphere_residues_beyond_int64():
     assert ranks[: len(reps)].tolist() == list(range(len(reps)))
 
 
+@pytest.mark.parametrize("p,n,l,k", [(7, 3, 1, 2), (7, 8, 1, 1), (3, 2, 40, 2)])  # 3^42 > 2**63
+def test_permutation_fields_are_int64_arrays(p, n, l, k):
+    perm = induced_permutation(MonomialSystem(p, n, l), k)
+    for field in (perm.mapping, perm.cycle_starts, perm.cycle_lengths):
+        assert isinstance(field, np.ndarray) and field.dtype == np.int64
+    assert perm.mapping.size == perm.partition.ball_count
+    assert all(type(i) is int for i in perm.fixed_indices())
+
+
 def test_big_modulus_python_path_agrees(monkeypatch):
     sys_ = MonomialSystem(3, 2, 1)
     fast = induced_permutation(sys_, 3)
     monkeypatch.setattr(kernels, "INT64_SAFE_MODULUS", 10)
     slow = induced_permutation(sys_, 3)
-    assert slow.mapping == fast.mapping
-    assert slow.cycle_lengths == fast.cycle_lengths
+    assert slow.mapping.tolist() == fast.mapping.tolist()
+    assert slow.cycle_lengths.tolist() == fast.cycle_lengths.tolist()
 
 
 # -- verdicts -------------------------------------------------------------------
@@ -406,13 +415,13 @@ def test_conjugated_permutations_match_the_conjugated_images(monkeypatch, p, n, 
         seen.clear()
         depths = conjugated_verdict(sys_, a, k_max).evidence.depths
         assert [perm.partition.depth for perm in seen] == [1, 2, 3]
-        assert [d.cycle_lengths for d in depths] == [perm.cycle_lengths for perm in seen]
+        assert [d.cycle_lengths for d in depths] == [tuple(perm.cycle_lengths.tolist()) for perm in seen]
         for perm in seen:
             reps, m = perm.partition.representatives, perm.partition.modulus
             a_res = a.residue % m
             a_inv = pow(a_res, -1, m)
             rank = {c: i for i, c in enumerate(reps)}
-            assert perm.mapping == tuple(rank[a_inv * pow(a_res * c % m, n, m) % m] for c in reps)
+            assert perm.mapping.tolist() == [rank[a_inv * pow(a_res * c % m, n, m) % m] for c in reps]
 
 
 @pytest.mark.parametrize("p,n,l", [(7, 3, 1), (11, 3, 1), (5, 6, 2)])
@@ -454,11 +463,11 @@ def test_ball_cycles_follow_the_order_of_n(case):
     pk = sys_.p**k
     o = n_order(sys_.n % pk, pk)
     expected = (o,) * ((pk - pk // sys_.p) // o)
-    assert induced_permutation(sys_, k).cycle_lengths == expected
+    assert tuple(induced_permutation(sys_, k).cycle_lengths.tolist()) == expected
     with pytest.MonkeyPatch.context() as mp:
         # power_map_any returns Python ints; they are small, so they rank as int64
         mp.setattr(kernels, "INT64_SAFE_MODULUS", 1)
-        assert induced_permutation(sys_, k).cycle_lengths == expected
+        assert tuple(induced_permutation(sys_, k).cycle_lengths.tolist()) == expected
     depth = max(k, 2)
     base = minimality_verdict(sys_, depth).evidence.depths
     for a in fixed_points(sys_, sys_.l + depth):
@@ -513,16 +522,16 @@ def test_ball_cycles_beyond_int64(p, n, l, k):
     pk = p**k
     o = n_order(n, pk)
     expected = (o,) * ((pk - pk // p) // o)
-    assert induced_permutation(sys_, k).cycle_lengths == expected
+    assert tuple(induced_permutation(sys_, k).cycle_lengths.tolist()) == expected
     base = minimality_verdict(sys_, k).evidence.depths
     assert tuple(d.cycle_lengths for d in base) == tuple(
-        induced_permutation(sys_, d.depth).cycle_lengths for d in base
+        tuple(induced_permutation(sys_, d.depth).cycle_lengths.tolist()) for d in base
     )
     for a in fixed_points(sys_, l + k):
         assert conjugated_verdict(sys_, a, k).evidence.depths == base
     # a perturbation divisible by p^(l+2) leaves the depth-2 balls where they were
     psys = PerturbedSystem(sys_, Polynomial.from_integers([0, 0, p ** (l + 2)], p, l + k + 2))
-    assert perturbed_ball_map(psys, 2).mapping == induced_permutation(sys_, 2).mapping
+    assert perturbed_ball_map(psys, 2).mapping.tolist() == induced_permutation(sys_, 2).mapping.tolist()
     sweep = observe_marginal_perturbation(p, n, l, [0, 0, p ** (l + 2)], k_max=k)
     assert all(e["ball_map_bijective"] for e in sweep["per_depth"])
 
@@ -623,11 +632,26 @@ def test_perturbation_necessary_condition_tracks_generator():
         assert rep.necessary_condition_agrees
 
 
+def test_perturbed_analysis_ranks_each_depth_once(monkeypatch):
+    ranked = []
+    real = dynamics._ball_ranks
+
+    def recording(partition, images):
+        ranked.append(partition.depth)
+        return real(partition, images)
+
+    monkeypatch.setattr(dynamics, "_ball_ranks", recording)
+    psys = PerturbedSystem(MonomialSystem(5, 2, 1), Polynomial.from_integers([125], 5, 6))
+    rep = perturbed_analysis(psys, 3, 4)
+    assert ranked == [1, 2, 3]
+    assert rep.depth2_transitive == is_generator_mod_p2(2, 5)
+
+
 def test_zero_perturbation_reduces_to_the_power_map():
     sys_ = MonomialSystem(3, 2, 1)
     psys = PerturbedSystem(sys_, Polynomial.from_integers([0], 3, 6))
     for k in (1, 2, 3):
-        assert perturbed_ball_map(psys, k).mapping == induced_permutation(sys_, k).mapping
+        assert perturbed_ball_map(psys, k).mapping.tolist() == induced_permutation(sys_, k).mapping.tolist()
 
 
 def test_coefficient_precision_must_cover_the_modulus():

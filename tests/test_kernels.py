@@ -95,6 +95,19 @@ def test_cycle_info_rejects_non_bijections():
             kernels.cycle_info(np.array(perm, dtype=np.int64))
 
 
+def test_cycle_info_leaves_its_input_unchanged():
+    # jump swaps between two buffers; the caller's array must be neither of them.
+    for perm in ([1, 2, 3, 4, 0], [4, 3, 2, 1, 0], [*range(1, 257), 0]):
+        arr = np.array(perm, dtype=np.int64)
+        kernels.cycle_info(arr)
+        assert arr.tolist() == perm
+    for bad in ([0, 0], [1, 1, 0]):
+        arr = np.array(bad, dtype=np.int64)
+        with pytest.raises(ValueError):
+            kernels.cycle_info(arr)
+        assert arr.tolist() == bad
+
+
 def _single_cycle(m):
     return [*range(1, m), 0]
 

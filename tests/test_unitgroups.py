@@ -1,6 +1,10 @@
 """Orders, generators, generated sets, and 2-adic noncyclicity."""
 
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicdyn.errors import DomainError, ResourceError
 from padicdyn.padic import euler_phi_prime_power
@@ -89,6 +93,45 @@ def test_generated_set_size_is_the_order():
             if n % p == 0:
                 continue
             assert len(generated_set(n, m)) == multiplicative_order(n, p, l)
+
+
+def _walked_set(n: int, modulus: int) -> list[int]:
+    out, x = [n % modulus], n % modulus
+    while x != 1:
+        x = (x * n) % modulus
+        out.append(x)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,modulus,order",
+    [
+        (1, 100, 1),
+        (4, 9, 3),
+        (7, 997**2, 993012),  # a generator mod p^2, the largest set analyze prints
+        (10, 99, 2),  # composite moduli from here on
+        (7, 1000, 20),
+        (3, 2 * 5**6, 12500),
+        (-2, 49, 42),
+        (1 + 3**12, 3**21, 3**9),  # 3^21 > INT64_SAFE_MODULUS: the object-dtype path
+    ],
+)
+def test_generated_set_matches_a_plain_loop(n, modulus, order):
+    got = generated_set(n, modulus, cap=modulus)
+    assert len(got) == order
+    assert got == _walked_set(n, modulus)
+    assert all(type(x) is int for x in got)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(2, 5000).flatmap(lambda m: st.tuples(st.integers(-m, 3 * m), st.just(m))))
+def test_generated_set_matches_a_plain_loop_on_random_moduli(case):
+    n, modulus = case
+    if gcd(n, modulus) != 1:
+        with pytest.raises(DomainError):
+            generated_set(n, modulus)
+    else:
+        assert generated_set(n, modulus) == _walked_set(n, modulus)
 
 
 def test_generator_consistency_examples():
