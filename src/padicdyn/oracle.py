@@ -259,6 +259,8 @@ def certify_minimality_criterion(
         raise DomainError("k_max must be at least 2")
     if not l_list:
         raise DomainError("need at least one sphere level")
+    if min(l_list) < 1:
+        raise DomainError("sphere level must be at least 1")
     deepest_count = (p - 1) * p ** (k_max - 1)
     if deepest_count > residue_cap or p * p > residue_cap:
         raise ResourceError(f"{deepest_count} balls per sweep exceed cap {residue_cap}")
@@ -370,6 +372,8 @@ def certify_unique_invariance(
     """
     if k < 1:
         raise DomainError("k must be at least 1")
+    if l < 1:
+        raise DomainError("sphere level must be at least 1")
     if p == 2:
         raise DomainError("criterion undefined at p = 2")
     if not is_prime(p):

@@ -240,6 +240,13 @@ def test_verify_unique_rejects_k_below_one(capsys, k):
     assert (code, out, err) == (2, "", "padicdyn verify: k must be at least 1\n")
 
 
+@pytest.mark.parametrize("claim", [("minimal",), ("unique", "--n", "2", "--k", "1")])
+@pytest.mark.parametrize("levels", ["0", "-3", "1,0"])
+def test_verify_rejects_sphere_levels_below_one(capsys, claim, levels):
+    code, out, err = run_cli(capsys, "verify", *claim, "--p", "3", "--l", levels)
+    assert (code, out, err) == (2, "", "padicdyn verify: sphere level must be at least 1\n")
+
+
 def test_verify_log_isometry(capsys):
     code, doc, _ = run_json(capsys, "verify", "log-isometry", "--p", "3,5", "--K", "4")
     assert code == 0

@@ -1,5 +1,6 @@
 """The numpy int64 sweep kernels, against plain-Python references, and their guards."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicdyn import kernels
+from padicdyn.dynamics import MonomialSystem, induced_permutation
+
+BASE = kernels._BASE_SIZE  # inputs above it go through the ruler contraction
 
 
 def _walked_cycles(perm):
@@ -90,14 +94,15 @@ def test_cycle_info_rejects_out_of_range():
 
 def test_cycle_info_rejects_non_bijections():
     # In range but not bijective: pointer jumping would merge the tail into a cycle.
-    for perm in ([0, 0], [1, 1, 0]):
+    for perm in ([0, 0], [1, 1, 0], [1, *range(2, 2 * BASE), 1]):
         with pytest.raises(ValueError):
             kernels.cycle_info(np.array(perm, dtype=np.int64))
 
 
 def test_cycle_info_leaves_its_input_unchanged():
-    # jump swaps between two buffers; the caller's array must be neither of them.
-    for perm in ([1, 2, 3, 4, 0], [4, 3, 2, 1, 0], [*range(1, 257), 0]):
+    # The scans gather into buffers of their own; the caller's array must be none of them.
+    big = np.random.default_rng(11).permutation(2 * BASE).tolist()
+    for perm in ([1, 2, 3, 4, 0], [4, 3, 2, 1, 0], [*range(1, 257), 0], big):
         arr = np.array(perm, dtype=np.int64)
         kernels.cycle_info(arr)
         assert arr.tolist() == perm
@@ -126,6 +131,104 @@ def _single_cycle(m):
 def test_cycle_info_matches_a_walk(perm):
     starts, lengths = kernels.cycle_info(np.array(perm, dtype=np.int64))
     assert (starts.tolist(), lengths.tolist()) == _walked_cycles(perm)
+
+
+def _scan(perm):
+    starts, lengths = kernels.cycle_info(perm)
+    return starts.tolist(), lengths.tolist()
+
+
+def _from_cycles(n, cycles):
+    """The permutation of range(n) with the given cycles (rows of equal length)."""
+    perm = np.arange(n)
+    perm[cycles] = np.roll(cycles, -1, axis=1)
+    return perm
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(st.sampled_from([BASE - 1, BASE, BASE + 1, 3 * BASE]), st.integers(0, 2**32 - 1))
+def test_cycle_info_matches_a_walk_on_both_sides_of_the_base_size(n, seed):
+    perm = np.random.default_rng(seed).permutation(n)
+    assert _scan(perm) == _walked_cycles(perm.tolist())
+
+
+def _structured(kind, n=10**5):
+    rng = np.random.default_rng(5)
+    index = np.arange(n)
+    if kind == "identity":
+        return index
+    if kind == "few cycles among fixed points":
+        return _from_cycles(n, rng.choice(n, 3000, replace=False).reshape(-1, 30))
+    if kind == "involution":
+        return _from_cycles(n, rng.permutation(n).reshape(-1, 2))
+    if kind == "short cycles without a ruler":
+        plain = rng.permutation(index[~kernels._ruler_mask(index)])
+        return _from_cycles(n, plain[: plain.size // 3 * 3].reshape(-1, 3))
+    if kind == "rulerless and ruled cycles":
+        return _from_cycles(n, rng.permutation(n).reshape(-1, 40))
+    assert kind == "one long cycle"
+    return _from_cycles(n, rng.permutation(n)[None, :])
+
+
+@pytest.mark.parametrize("kind", ["identity", "few cycles among fixed points", "involution",
+                                  "short cycles without a ruler", "rulerless and ruled cycles",
+                                  "one long cycle"])
+def test_cycle_info_matches_a_walk_on_structured_permutations(kind):
+    perm = _structured(kind)
+    assert _scan(perm) == _walked_cycles(perm.tolist())
+
+
+# Generators and non-generators mod p^2, with 1, 2 and 6 cycles, all above BASE.
+@pytest.mark.parametrize("p, n, l, depth", [(3, 4, 2, 11), (7, 2, 1, 6), (31, 2, 1, 4), (97, 5, 1, 3)])
+def test_cycle_info_matches_a_walk_on_verdict_permutations(p, n, l, depth):
+    mapping = induced_permutation(MonomialSystem(p, n, l), depth).mapping
+    assert mapping.size > BASE
+    assert _scan(mapping) == _walked_cycles(mapping.tolist())
+
+
+def test_a_gap_past_the_step_limit_falls_back_to_pointer_jumping():
+    # One cycle that visits every ruler first, so that a single gap spans n - n/32 nodes.
+    n = 2 * BASE
+    index = np.arange(n)
+    rulers = index[kernels._ruler_mask(index)]
+    perm = _from_cycles(n, np.concatenate([rulers, index[~kernels._ruler_mask(index)]])[None, :])
+    assert n - rulers.size > kernels._STEP_LIMIT
+    assert kernels._walk(perm, rulers, np.full(n, -1)) is None
+    assert _scan(perm) == _walked_cycles(perm.tolist()) == ([0], [n])
+
+
+def test_fixed_points_are_never_walked(monkeypatch):
+    # Walking them would give the same labels, at the cost of a walker per fixed ruler.
+    walked = []
+
+    def spy(perm, rulers, owner):
+        walked.append(perm[rulers] != rulers)
+        return walk(perm, rulers, owner)
+
+    walk = kernels._walk
+    monkeypatch.setattr(kernels, "_walk", spy)
+    for kind in ("identity", "few cycles among fixed points"):
+        perm = _structured(kind)
+        assert _scan(perm) == _walked_cycles(perm.tolist())
+    identity, sparse = walked
+    assert identity.size == 0
+    assert 0 < sparse.size and sparse.all()
+
+
+# The bounds are the peaks of the O(n log n) pointer-jumping scan on the same inputs.
+@pytest.mark.parametrize("kind, bound_mb", [("random", 32), ("all fixed", 48)])
+def test_cycle_info_peak_memory(kind, bound_mb):
+    n = 10**6
+    perm = np.random.default_rng(2).permutation(n) if kind == "random" else np.arange(n)
+    kernels.cycle_info(perm)
+    tracemalloc.start()
+    try:
+        in_use = tracemalloc.get_traced_memory()[0]
+        kernels.cycle_info(perm)
+        peak = tracemalloc.get_traced_memory()[1] - in_use
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 10**6
 
 
 def test_valuation_table_caps():
