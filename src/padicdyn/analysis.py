@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DomainError, IntegrityError
-from .padic import PadicInt, int_valuation
+from .padic import PadicInt, int_valuation, is_prime
 
 
 def _ilog(p: int, k: int) -> int:
@@ -161,6 +161,8 @@ def roots_of_unity(d: int, p: int, K: int) -> list[PadicInt]:
         raise DomainError("roots of unity at p = 2 are just +-1; use odd p here")
     if d < 1:
         raise DomainError("root order must be a positive integer")
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     d0 = gcd(d, p - 1)
     out = []
     for u in range(1, p):

@@ -41,7 +41,8 @@ from .unitgroups import (
 )
 
 DEFAULT_BALL_CAP = 10**6
-DEFAULT_PAIR_CAP = 5 * 10**6
+_LOG_POINT_CAP = 144  # sphere points whose log ratios product_nonmixing_report checks
+_MISMATCH_LIMIT = 20  # congruence mismatches perturbed_analysis keeps as examples
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -312,6 +313,10 @@ class BallIndicator:
     center: int
     radius_exp: int
 
+    def __post_init__(self) -> None:
+        if self.radius_exp < 0:
+            raise DomainError("ball radius exponents are non-negative")
+
     def evaluate(self, residue: int, p: int) -> int:
         return 1 if (residue - self.center) % p**self.radius_exp == 0 else 0
 
@@ -321,6 +326,10 @@ class DigitValue:
     """The base-p digit at ``position`` of the point's residue."""
 
     position: int
+
+    def __post_init__(self) -> None:
+        if self.position < 0:
+            raise DomainError("digit positions are non-negative")
 
     def evaluate(self, residue: int, p: int) -> int:
         return (residue // p**self.position) % p
@@ -342,8 +351,6 @@ def haar_integral(f: TestFunction, sys: MonomialSystem) -> Fraction:
         return Fraction(1, (p - 1) * p ** (r - l - 1))
     if isinstance(f, DigitValue):
         j = f.position
-        if j < 0:
-            raise DomainError("digit positions are non-negative")
         if j < l:
             return Fraction(1 if j == 0 else 0)
         if j == l:
@@ -455,7 +462,6 @@ def product_nonmixing_report(
     sys: MonomialSystem,
     depth: int,
     cap: int = DEFAULT_BALL_CAP,
-    log_point_cap: int = 144,
 ) -> ProductReport:
     """Cycle structure of the product map on ball pairs, plus the invariant
     the product preserves: the class of log x / log y.
@@ -468,7 +474,7 @@ def product_nonmixing_report(
     obstruction to weak mixing at the permutation level. The log-ratio class
     mod p^(l+depth) cannot move because one step multiplies both logarithms
     by n; that linearity is checked pointwise, and the ratio classes over all
-    pairs, on up to ``log_point_cap`` sphere points.
+    pairs, on up to ``_LOG_POINT_CAP`` sphere points.
     """
     perm = induced_permutation(sys, depth, cap)
     m_count = perm.partition.ball_count
@@ -489,7 +495,7 @@ def product_nonmixing_report(
     mod_w = p**kw
     step = p**l
     sphere_points = (1 + t * step for t in range(1, p ** (l + depth)) if t % p != 0)
-    points = list(islice(sphere_points, log_point_cap))
+    points = list(islice(sphere_points, _LOG_POINT_CAP))
     shifted = []
     shifted_next = []
     for r in points:
@@ -538,10 +544,6 @@ class Polynomial:
     @classmethod
     def from_integers(cls, coeffs: list[int], p: int, precision: int) -> "Polynomial":
         return cls(tuple(PadicInt.from_integer(c, p, precision) for c in coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.residue == 0 for c in self.coefficients)
 
     def evaluate_residue(self, r: int, modulus: int) -> int:
         """Horner evaluation mod ``modulus``; coefficients must carry enough digits."""
@@ -616,7 +618,6 @@ def perturbed_analysis(
     k_max: int = 3,
     n_max: int = 6,
     cap: int = DEFAULT_BALL_CAP,
-    mismatch_limit: int = 20,
 ) -> PerturbationReport:
     """Sphere invariance, the digit-propagation congruence, and the necessary
     ergodicity condition for a perturbed power map.
@@ -658,7 +659,7 @@ def perturbed_analysis(
             checked += 1
             if y != predicted:
                 mismatch_count += 1
-                if len(mismatches) < mismatch_limit:
+                if len(mismatches) < _MISMATCH_LIMIT:
                     mismatches.append(CongruenceMismatch(r, step, y, predicted))
 
     # Necessary condition: the depth-2 ball action must be transitive exactly
@@ -749,86 +750,3 @@ def observe_marginal_perturbation(
     observations["generator_mod_p2"] = is_generator_mod_p2(n, p)
     return observations
 
-
-# -- the scaling law of power differences --------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ScalingViolation:
-    x: int
-    y: int
-    observed: int
-    expected: int
-
-
-@dataclass(frozen=True, slots=True)
-class ScalingReport:
-    p: int
-    n: int
-    precision: int
-    pairs_checked: int
-    equality_pairs: int
-    strict_pairs: int
-    equality_required: bool
-    violations: tuple[ScalingViolation, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def isometry_scaling_check(
-    p: int, n: int, K: int, pair_cap: int = DEFAULT_PAIR_CAP
-) -> ScalingReport:
-    """Check |x^n - y^n| = |n| |x - y| over all unit pairs at distance >= 1.
-
-    Equality is required for odd p, and at p = 2 for odd n; at p = 2 with n
-    even only the <= inequality is demanded. All valuations are capped at the
-    precision K, and at most 10 violations are kept. This is the fast-path
-    sweep over the int64 kernels; the oracle module re-derives the same law
-    from plain integer powers.
-    """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if K < 2:
-        raise DomainError("need at least two digits to see distances below 1")
-    if n < 1:
-        raise DomainError("the scaling law concerns positive exponents")
-    m = p**K
-    class_size = p ** (K - 1)
-    pair_total = (p - 1) * class_size * (class_size - 1) // 2
-    if pair_total > pair_cap:
-        raise ResourceError(f"{pair_total} unit pairs exceed cap {pair_cap}")
-    if m > kernels.INT64_SAFE_MODULUS:
-        raise ResourceError(f"modulus {p}^{K} exceeds the int64 kernel range")
-    vn = min(int_valuation(n, p), K)
-    equality_required = p > 2 or n % 2 == 1
-
-    equality = strict = 0
-    violations: list[ScalingViolation] = []
-    for c in range(1, p):
-        members = np.arange(c, m, p, dtype=np.int64)
-        powers = kernels.power_map(members, n, m)
-        ii, jj = np.triu_indices(len(members), 1)
-        diff = members[jj] - members[ii]
-        vdiff = kernels.valuation_table(diff, p, K)
-        dpow = (powers[jj] - powers[ii]) % m
-        vpow = kernels.valuation_table(dpow, p, K)
-        expected = np.minimum(vdiff + vn, K)
-        eq_mask = vpow == expected
-        ge_mask = vpow >= expected
-        equality += int(eq_mask.sum())
-        strict += int((ge_mask & ~eq_mask).sum())
-        bad = ~eq_mask if equality_required else ~ge_mask
-        for idx in np.flatnonzero(bad)[: 10 - len(violations)]:
-            violations.append(
-                ScalingViolation(
-                    int(members[ii[idx]]),
-                    int(members[jj[idx]]),
-                    int(vpow[idx]),
-                    int(expected[idx]),
-                )
-            )
-    return ScalingReport(
-        p, n, K, pair_total, equality, strict, equality_required, tuple(violations)
-    )

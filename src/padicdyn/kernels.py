@@ -226,7 +226,11 @@ def cycle_info(perm) -> tuple[np.ndarray, np.ndarray]:
 
 
 def valuation_table(values, p: int, cap: int) -> np.ndarray:
-    """Elementwise p-adic valuation, with zeros and deep values capped at ``cap``."""
+    """Elementwise p-adic valuation, with zeros and deep values capped at ``cap``.
+
+    Nothing in the package calls it; it stays while the benchmark still
+    traces it, and goes with the benchmark change of ROADMAP item 5.
+    """
     if cap < 1:
         raise ValueError("cap must be positive")
     arr = np.ascontiguousarray(values, dtype=np.int64)

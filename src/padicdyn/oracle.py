@@ -350,7 +350,7 @@ def _independent_ball_permutation(p: int, n: int, l: int, k: int) -> list[int]:
     index = {r: i for i, r in enumerate(reps)}
     mapping = []
     for r in reps:
-        img = (r**n) % m
+        img = pow(r, n, m)
         if img not in index:
             raise DomainError(f"ball image {img} off the sphere at ({p}, {n}, l={l}, k={k})")
         mapping.append(index[img])
@@ -380,6 +380,8 @@ def certify_unique_invariance(
         raise DomainError(f"{p} is not prime")
     if gcd(n, p) != 1:
         raise DomainError(f"{n} is not a unit mod {p}")
+    if n < 1:
+        raise DomainError("exponent must be at least 1")
     if p ** (l + k) > residue_cap:
         raise ResourceError(f"modulus {p ** (l + k)} exceeds residue cap {residue_cap}")
 

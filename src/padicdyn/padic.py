@@ -228,88 +228,6 @@ class PadicInt:
         return f"{self.residue} = {self.digit_text()}"
 
 
-@dataclass(frozen=True, slots=True)
-class Ball:
-    """The closed ball of radius p^-radius_exp around ``center``.
-
-    Membership is residue congruence mod p^radius_exp, so every member is
-    also a center of the same ball.
-    """
-
-    center: PadicInt
-    radius_exp: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.radius_exp <= self.center.precision:
-            raise DomainError(
-                f"ball radius exponent {self.radius_exp} outside [0, {self.center.precision}]"
-            )
-
-    @property
-    def prime(self) -> int:
-        return self.center.prime
-
-    def contains_residue(self, r: int) -> bool:
-        q = self.prime**self.radius_exp
-        return (r - self.center.residue) % q == 0
-
-    def contains(self, x: PadicInt) -> bool:
-        self.center._check_compatible(x)
-        return self.contains_residue(x.residue)
-
-    def members(self) -> list[int]:
-        """All residues mod p^K lying in the ball, ascending."""
-        q = self.prime**self.radius_exp
-        first = self.center.residue % q
-        return list(range(first, self.center.modulus, q))
-
-
-@dataclass(frozen=True, slots=True)
-class Sphere:
-    """Points at exact distance p^-radius_exp from ``center``.
-
-    At precision K the condition "distance exponent equals radius_exp" is
-    decidable only for radius_exp < K, which is enforced here.
-    """
-
-    center: PadicInt
-    radius_exp: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.radius_exp < self.center.precision:
-            raise DomainError(
-                f"sphere radius exponent {self.radius_exp} outside [1, {self.center.precision - 1}]"
-            )
-
-    @property
-    def prime(self) -> int:
-        return self.center.prime
-
-    def contains_residue(self, r: int) -> bool:
-        d = (r - self.center.residue) % self.center.modulus
-        if d == 0:
-            return False
-        return int_valuation(d, self.prime) == self.radius_exp
-
-    def contains(self, x: PadicInt) -> bool:
-        self.center._check_compatible(x)
-        return self.contains_residue(x.residue)
-
-    def members(self) -> list[int]:
-        """All residues mod p^K at exact distance p^-radius_exp, ascending.
-
-        Count is (p-1) * p^(K - radius_exp - 1).
-        """
-        p = self.prime
-        low = self.prime**self.radius_exp
-        out = []
-        for t in range(1, self.center.modulus // low):
-            if t % p != 0:
-                out.append((self.center.residue + t * low) % self.center.modulus)
-        out.sort()
-        return out
-
-
 def euler_phi_prime_power(p: int, l: int) -> int:
     """Order of the unit group mod p^l."""
     return (p - 1) * p ** (l - 1)

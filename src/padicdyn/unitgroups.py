@@ -10,7 +10,7 @@ from math import gcd
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, ResourceError
+from .errors import DomainError, IntegrityError, ResourceError
 from .padic import euler_phi_prime_power, factorize, is_prime
 
 DEFAULT_RESIDUE_CAP = 10**7
@@ -74,14 +74,14 @@ def is_generator_mod_p2(n: int, p: int) -> bool:
     return multiplicative_order(n, p, 2) == p * (p - 1)
 
 
-def generated_set(n: int, modulus: int, cap: int = DEFAULT_RESIDUE_CAP) -> list[int]:
+def generated_set(n: int, modulus: int) -> list[int]:
     """The multiplicative cycle {n, n^2, ..., 1} mod modulus, in generation order."""
     if modulus < 2:
         raise DomainError("modulus must be at least 2")
     if gcd(n, modulus) != 1:
         raise DomainError(f"{n} is not coprime to {modulus}")
-    if modulus > cap:
-        raise ResourceError(f"modulus {modulus} exceeds residue cap {cap}")
+    if modulus > DEFAULT_RESIDUE_CAP:
+        raise ResourceError(f"modulus {modulus} exceeds residue cap {DEFAULT_RESIDUE_CAP}")
     # By doubling: the next block is the powers so far times n^len. int64
     # products are exact up to INT64_SAFE_MODULUS; Python ints above it.
     powers = np.array([n % modulus], dtype=np.int64 if modulus <= kernels.INT64_SAFE_MODULUS else object)
@@ -150,7 +150,7 @@ def noncyclic_2adic_check(l: int) -> bool:
     return True
 
 
-def density_check(n: int, p: int, k: int, cap: int = DEFAULT_RESIDUE_CAP) -> bool:
+def density_check(n: int, p: int, k: int) -> bool:
     """Whether the powers of n reach every unit mod p^k.
 
     For k >= 2 this must coincide with the mod-p^2 generator test; the two
@@ -164,13 +164,10 @@ def density_check(n: int, p: int, k: int, cap: int = DEFAULT_RESIDUE_CAP) -> boo
         raise DomainError("k must be at least 1")
     if gcd(n, p) != 1:
         raise DomainError(f"{n} is not a unit mod {p}")
-    reached = len(generated_set(n, p**k, cap))
+    reached = len(generated_set(n, p**k))
     dense = reached == euler_phi_prime_power(p, k)
-    if k >= 2:
-        from .errors import IntegrityError
-
-        if dense != is_generator_mod_p2(n, p):
-            raise IntegrityError(
-                f"density of <{n}> mod {p}^{k} disagrees with the mod-{p}^2 generator test"
-            )
+    if k >= 2 and dense != is_generator_mod_p2(n, p):
+        raise IntegrityError(
+            f"density of <{n}> mod {p}^{k} disagrees with the mod-{p}^2 generator test"
+        )
     return dense

@@ -202,7 +202,7 @@ def test_criterion_8_non_weak_mixing():
             for l in (1, 2):
                 sys_ = MonomialSystem(p, n, l)
                 for k in (1, 2, 3):
-                    rep = product_nonmixing_report(sys_, k, log_point_cap=64)
+                    rep = product_nonmixing_report(sys_, k)
                     m_count = rep.ball_count
                     assert m_count >= 2
                     assert rep.cycle_count == m_count

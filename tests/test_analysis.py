@@ -241,6 +241,9 @@ def test_root_count_is_gcd():
 def test_roots_rejects_p_two():
     with pytest.raises(DomainError):
         roots_of_unity(3, 2, 4)
+    for p in (1, 0, -5):
+        with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+            roots_of_unity(2, p, 4)
 
 
 # -- Teichmuller lifting ---------------------------------------------------------------

@@ -240,6 +240,12 @@ def test_verify_unique_rejects_k_below_one(capsys, k):
     assert (code, out, err) == (2, "", "padicdyn verify: k must be at least 1\n")
 
 
+@pytest.mark.parametrize("n", ["-1", "-2"])
+def test_verify_unique_rejects_negative_exponents(capsys, n):
+    code, out, err = run_cli(capsys, "verify", "unique", "--p", "3", "--n", n)
+    assert (code, out, err) == (2, "", "padicdyn verify: exponent must be at least 1\n")
+
+
 @pytest.mark.parametrize("claim", [("minimal",), ("unique", "--n", "2", "--k", "1")])
 @pytest.mark.parametrize("levels", ["0", "-3", "1,0"])
 def test_verify_rejects_sphere_levels_below_one(capsys, claim, levels):
@@ -368,6 +374,12 @@ def test_roots_plus_minus_one(capsys):
 def test_roots_rejects_two(capsys):
     code, _, _ = run_cli(capsys, "roots", "--p", "2", "--d", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("p", ["1", "0", "-5"])
+def test_roots_rejects_non_primes(capsys, p):
+    code, out, err = run_cli(capsys, "roots", "--p", p, "--d", "2")
+    assert (code, out, err) == (2, "", f"padicdyn roots: {p} is not prime\n")
 
 
 # -- module entry point ---------------------------------------------------------------

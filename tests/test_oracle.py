@@ -1,5 +1,6 @@
 """Certificates: brute-force sweeps, the rational solver, digests."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,14 @@ def test_unique_invariance_nullity_equals_cycle_count_sweep():
             assert cert.passed
             perm = induced_permutation(MonomialSystem(p, n, 1), 2)
             assert cert.annotations["nullity"] == len(perm.cycle_lengths)
+
+
+def test_unique_invariance_reduces_large_exponents():
+    # phi(5^3) = 100, so n = 10^7 + 3 acts on the balls as n = 3 does
+    start = time.perf_counter()
+    cert = certify_unique_invariance(5, 10**7 + 3, 1, 2)
+    assert time.perf_counter() - start < 1.0
+    assert cert.annotations == certify_unique_invariance(5, 3, 1, 2).annotations
 
 
 def test_unique_invariance_cap():

@@ -1,9 +1,9 @@
-"""Core arithmetic: construction, ring ops, valuations, balls and spheres."""
+"""Core arithmetic: construction, ring ops, valuations, digits and primality."""
 
 import pytest
 
 from padicdyn.errors import DomainError
-from padicdyn.padic import Ball, PadicInt, Sphere, Valuation, int_valuation, is_prime
+from padicdyn.padic import PadicInt, Valuation, int_valuation, is_prime
 
 
 def egcd(a: int, b: int):
@@ -168,51 +168,7 @@ def test_digit_text_form():
     assert str(x).startswith("48 = ")
 
 
-# -- balls and spheres ---------------------------------------------------------------
-
-
-def test_sphere_members_around_one():
-    s = Sphere(PadicInt.one(3, 2), 1)
-    assert s.members() == [4, 7]
-    s2 = Sphere(PadicInt.one(3, 4), 1)
-    assert len(s2.members()) == 2 * 3**2  # (p-1) p^(K-l-1)
-    for r in s2.members():
-        assert int_valuation(r - 1, 3) == 1
-
-
-def test_ball_members_and_recentering():
-    b = Ball(PadicInt.from_integer(4, 3, 3), 2)
-    assert b.members() == [4, 13, 22]
-    for member in b.members():
-        again = Ball(PadicInt.from_integer(member, 3, 3), 2)
-        assert again.members() == b.members()
-
-
-def test_every_member_is_a_center_exhaustive():
-    for p, K in ((2, 4), (3, 3)):
-        for r in range(p**K):
-            for radius in range(0, K + 1):
-                ball = Ball(PadicInt(p, K, r), radius)
-                members = ball.members()
-                for member in members:
-                    assert Ball(PadicInt(p, K, member), radius).members() == members
-
-
-def test_radius_bounds_enforced():
-    with pytest.raises(DomainError):
-        Ball(PadicInt.one(3, 3), 4)
-    with pytest.raises(DomainError):
-        Sphere(PadicInt.one(3, 3), 3)  # exact distance needs one digit of slack
-    with pytest.raises(DomainError):
-        Sphere(PadicInt.one(3, 3), 0)
-
-
-def test_sphere_membership_is_exact_distance():
-    s = Sphere(PadicInt.one(3, 3), 1)
-    assert s.contains_residue(4)
-    assert not s.contains_residue(10)  # distance 3^-2, too deep
-    assert not s.contains_residue(2)  # distance 1, too shallow
-    assert sorted(r for r in range(27) if s.contains_residue(r)) == s.members()
+# -- primality --------------------------------------------------------------------
 
 
 def test_is_prime_small_table():

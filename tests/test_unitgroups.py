@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicdyn import unitgroups
 from padicdyn.errors import DomainError, ResourceError
 from padicdyn.padic import euler_phi_prime_power
 from padicdyn.unitgroups import (
@@ -116,8 +117,9 @@ def _walked_set(n: int, modulus: int) -> list[int]:
         (1 + 3**12, 3**21, 3**9),  # 3^21 > INT64_SAFE_MODULUS: the object-dtype path
     ],
 )
-def test_generated_set_matches_a_plain_loop(n, modulus, order):
-    got = generated_set(n, modulus, cap=modulus)
+def test_generated_set_matches_a_plain_loop(n, modulus, order, monkeypatch):
+    monkeypatch.setattr(unitgroups, "DEFAULT_RESIDUE_CAP", modulus)
+    got = generated_set(n, modulus)
     assert len(got) == order
     assert got == _walked_set(n, modulus)
     assert all(type(x) is int for x in got)
