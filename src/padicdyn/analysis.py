@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DomainError, IntegrityError
-from .padic import PadicInt, int_valuation, is_prime
+from .padic import PadicInt, factorize, int_valuation, is_prime
 
 
 def _ilog(p: int, k: int) -> int:
@@ -154,8 +154,9 @@ def teichmuller(x: PadicInt) -> PadicInt:
 def roots_of_unity(d: int, p: int, K: int) -> list[PadicInt]:
     """All solutions of x^d = 1 in Z_p at precision K, sorted by residue.
 
-    For odd p the solutions form the cyclic group of order gcd(d, p-1): the
-    residues mod p solving x^gcd = 1 are lifted with the Teichmuller map.
+    For odd p the solutions form the cyclic group of order d0 = gcd(d, p-1):
+    the d0 powers mod p of one h of exact order d0, each lifted with the
+    Teichmuller map.
     """
     if p == 2:
         raise DomainError("roots of unity at p = 2 are just +-1; use odd p here")
@@ -164,16 +165,24 @@ def roots_of_unity(d: int, p: int, K: int) -> list[PadicInt]:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     d0 = gcd(d, p - 1)
-    out = []
+    primes = factorize(d0)
+    # h = u^((p-1)/d0) has order dividing d0, and exactly d0 unless h^(d0/q) = 1
+    # for a prime q of d0; a primitive root u always gives exact order.
     for u in range(1, p):
-        if pow(u, d0, p) == 1:
-            root = teichmuller(PadicInt.from_integer(u, p, K))
-            if root.pow_nat(d).residue != 1:
-                raise IntegrityError(f"lifted root {root.residue} fails x^{d} = 1 mod {p}^{K}")
-            out.append(root)
-    out.sort(key=lambda r: r.residue)
-    if len(out) != d0:
+        h = pow(u, (p - 1) // d0, p)
+        if all(pow(h, d0 // q, p) != 1 for q in primes):
+            break
+    residues = {pow(h, j, p) for j in range(d0)}
+    # d0 distinct roots of x^d0 - 1 over F_p are all of its roots
+    if len(residues) != d0:
         raise IntegrityError(
-            f"expected gcd({d}, {p - 1}) = {d0} roots, found {len(out)}"
+            f"expected gcd({d}, {p - 1}) = {d0} roots, found {len(residues)}"
         )
+    out = []
+    for r in residues:
+        root = teichmuller(PadicInt.from_integer(r, p, K))
+        if root.pow_nat(d).residue != 1:
+            raise IntegrityError(f"lifted root {root.residue} fails x^{d} = 1 mod {p}^{K}")
+        out.append(root)
+    out.sort(key=lambda r: r.residue)
     return out

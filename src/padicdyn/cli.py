@@ -201,7 +201,7 @@ def _verdict_results(sys_: MonomialSystem, depth: int) -> dict:
             "element_order": gen.element_order,
             "is_generator": gen.is_generator,
         },
-        "generated_mod_p2": list(ev.generated_mod_p2),
+        "generated_mod_p2": ev.generated_mod_p2.tolist(),
         "depths": depths,
         "invariant_ball": invariant,
     }

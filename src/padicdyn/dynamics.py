@@ -13,10 +13,11 @@ and fall back to Python big ints otherwise. One routine, :func:`_ball_ranks`,
 tests whether residues lie on the sphere and ranks their balls; the batch ball
 index :meth:`BallPartition.indices_of` and every checked ball permutation,
 :func:`_permutation_from_images`, are built on it. A :class:`PermutationAction`
-keeps the kernels' int64 arrays; the representatives of a partition and the
-cycle lengths a verdict reports are tuples of ints. Every verdict, around 1 or
-around another fixed point, is assembled by :func:`_verdict_from_depths` from
-the base power-map permutations, which conjugation by a fixed point keeps.
+keeps the kernels' int64 arrays, and a verdict its sorted generated set as one
+array; the partition representatives and reported cycle lengths are tuples of
+ints. Every verdict, around 1 or around another fixed point, is assembled by
+:func:`_verdict_from_depths` from the base power-map permutations, which
+conjugation by a fixed point keeps.
 """
 
 from __future__ import annotations
@@ -116,14 +117,15 @@ class BallPartition:
         return self.representatives[index]
 
 
-def sphere_partition(sys: MonomialSystem, depth: int, cap: int = DEFAULT_BALL_CAP) -> BallPartition:
-    """Enumerate the depth-k partition representatives, ascending."""
+def sphere_partition(sys: MonomialSystem, depth: int) -> BallPartition:
+    """Enumerate the depth-k partition representatives, ascending, refusing
+    more than ``DEFAULT_BALL_CAP`` balls; every sphere enumeration comes here."""
     if depth < 1:
         raise DomainError("depth must be at least 1")
     p, l = sys.p, sys.l
     count = (p - 1) * p ** (depth - 1)
-    if count > cap:
-        raise ResourceError(f"partition of {count} balls exceeds cap {cap}")
+    if count > DEFAULT_BALL_CAP:
+        raise ResourceError(f"partition of {count} balls exceeds cap {DEFAULT_BALL_CAP}")
     step = p**l
     residues = list(range(1 + step, 1 + p**depth * step, step))  # 1 + t*step for 0 < t < p^depth
     del residues[p - 1 :: p]  # the t divisible by p
@@ -196,13 +198,13 @@ def _permutation_from_ranks(partition: BallPartition, mapping, on_sphere) -> Per
     return PermutationAction(partition, mapping, starts, lengths)
 
 
-def induced_permutation(sys: MonomialSystem, depth: int, cap: int = DEFAULT_BALL_CAP) -> PermutationAction:
+def induced_permutation(sys: MonomialSystem, depth: int) -> PermutationAction:
     """The permutation of depth-k balls, with its cycle structure.
 
     A representative c moves to the ball of c^n mod p^(l+k); the result is a
     bijection because the map is an isometry on the sphere.
     """
-    partition = sphere_partition(sys, depth, cap)
+    partition = sphere_partition(sys, depth)
     images = kernels.power_map_any(partition.representatives, sys.n, partition.modulus)
     return _permutation_from_images(partition, images)
 
@@ -221,17 +223,17 @@ class DepthCycles:
         return len(self.cycle_lengths) == 1
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class VerdictEvidence:
-    """What the verdict was computed from."""
+    """What the verdict was computed from (no ``==``: it holds an array)."""
 
     generator: UnitGroupReport
-    generated_mod_p2: tuple[int, ...]
+    generated_mod_p2: np.ndarray  # ascending
     depths: tuple[DepthCycles, ...]
     invariant_ball: tuple[int, int] | None  # (depth, center residue), when one exists
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Verdict:
     """Minimality, unique ergodicity, and ergodicity always rise and fall together;
     a Verdict whose three flags disagree cannot be constructed."""
@@ -246,7 +248,7 @@ class Verdict:
             raise IntegrityError("verdict flags must coincide")
 
 
-def _verdict_from_depths(sys: MonomialSystem, k_max: int, cap: int, a: int = 1) -> Verdict:
+def _verdict_from_depths(sys: MonomialSystem, k_max: int, a: int = 1) -> Verdict:
     """Cross-check the ball permutations at depths 1..k_max against the
     generator test mod p^2 and assemble the verdict.
 
@@ -256,7 +258,7 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, cap: int, a: int = 1) 
     first depth that has one, is centred at the least a*c mod p^(l+k) over
     the fixed balls.
     """
-    depth_perms = [induced_permutation(sys, k, cap) for k in range(1, k_max + 1)]
+    depth_perms = [induced_permutation(sys, k) for k in range(1, k_max + 1)]
     gen_report = unit_group_report(sys.n, sys.p, 2)
     gen = gen_report.is_generator
     depths = []
@@ -279,12 +281,12 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, cap: int, a: int = 1) 
             if fixed:
                 m = perm.partition.modulus
                 invariant_ball = (k, min(a * perm.partition.ball_center(i) % m for i in fixed))
-    generated = tuple(np.sort(generated_set(sys.n, sys.p**2)).tolist())
+    generated = np.sort(generated_set(sys.n, sys.p**2))
     evidence = VerdictEvidence(gen_report, generated, tuple(depths), invariant_ball)
     return Verdict(gen, gen, gen, evidence)
 
 
-def minimality_verdict(sys: MonomialSystem, k_max: int = 4, cap: int = DEFAULT_BALL_CAP) -> Verdict:
+def minimality_verdict(sys: MonomialSystem, k_max: int = 4) -> Verdict:
     """Decide minimality two independent ways and cross-check them.
 
     The generator test mod p^2 gives the criterion; transitivity of the
@@ -293,7 +295,7 @@ def minimality_verdict(sys: MonomialSystem, k_max: int = 4, cap: int = DEFAULT_B
     """
     if k_max < 2:
         raise DomainError("k_max must be at least 2; depth 1 alone cannot decide")
-    return _verdict_from_depths(sys, k_max, cap)
+    return _verdict_from_depths(sys, k_max)
 
 
 # -- measures and averages ----------------------------------------------------
@@ -415,9 +417,7 @@ def fixed_points(sys: MonomialSystem, precision: int) -> list[PadicInt]:
     return roots_of_unity(sys.n - 1, sys.p, precision)
 
 
-def conjugated_verdict(
-    sys: MonomialSystem, a: PadicInt, k_max: int = 4, cap: int = DEFAULT_BALL_CAP
-) -> Verdict:
+def conjugated_verdict(sys: MonomialSystem, a: PadicInt, k_max: int = 4) -> Verdict:
     """Verdict for x -> x^n on the sphere around a fixed point a.
 
     Multiplication by a carries the standard partition to the sphere around a,
@@ -438,7 +438,7 @@ def conjugated_verdict(
         raise DomainError(f"{a.residue} is not a fixed point of x -> x^{sys.n}")
     if k_max < 2:
         raise DomainError("k_max must be at least 2")
-    return _verdict_from_depths(sys, k_max, cap, a.residue)
+    return _verdict_from_depths(sys, k_max, a.residue)
 
 
 # -- the product system never mixes -------------------------------------------
@@ -458,11 +458,7 @@ class ProductReport:
     log_ratio_invariant: bool
 
 
-def product_nonmixing_report(
-    sys: MonomialSystem,
-    depth: int,
-    cap: int = DEFAULT_BALL_CAP,
-) -> ProductReport:
+def product_nonmixing_report(sys: MonomialSystem, depth: int) -> ProductReport:
     """Cycle structure of the product map on ball pairs, plus the invariant
     the product preserves: the class of log x / log y.
 
@@ -476,7 +472,7 @@ def product_nonmixing_report(
     by n; that linearity is checked pointwise, and the ratio classes over all
     pairs, on up to ``_LOG_POINT_CAP`` sphere points.
     """
-    perm = induced_permutation(sys, depth, cap)
+    perm = induced_permutation(sys, depth)
     m_count = perm.partition.ball_count
     lengths, counts = kernels.pair_cycle_info(perm.cycle_lengths)
     mult = tuple(zip(lengths.tolist(), counts.tolist()))
@@ -613,12 +609,7 @@ class PerturbationReport:
         return self.congruence_mismatch_count == 0
 
 
-def perturbed_analysis(
-    psys: PerturbedSystem,
-    k_max: int = 3,
-    n_max: int = 6,
-    cap: int = DEFAULT_BALL_CAP,
-) -> PerturbationReport:
+def perturbed_analysis(psys: PerturbedSystem, k_max: int = 3, n_max: int = 6) -> PerturbationReport:
     """Sphere invariance, the digit-propagation congruence, and the necessary
     ergodicity condition for a perturbed power map.
 
@@ -634,13 +625,13 @@ def perturbed_analysis(
 
     # Pointwise re-verification of the vanishing condition on the sphere.
     mod2 = p ** (l + 2)
-    part2 = sphere_partition(sys, 2, cap)
+    part2 = sphere_partition(sys, 2)
     reps2 = part2.representatives
     pointwise_ok = all(psys.q.evaluate_residue(r, mod2) == 0 for r in reps2)
 
     invariance = []
     for k in range(1, k_max + 1):
-        part = part2 if k == 2 else sphere_partition(sys, k, cap)
+        part = part2 if k == 2 else sphere_partition(sys, k)
         ranked = _ball_ranks(part, [psys.apply(r, part.modulus) for r in part.representatives])
         if k == 2:
             ranked2 = ranked
@@ -680,11 +671,10 @@ def perturbed_analysis(
     )
 
 
-def perturbed_ball_map(psys: PerturbedSystem, depth: int, cap: int = DEFAULT_BALL_CAP) -> PermutationAction:
+def perturbed_ball_map(psys: PerturbedSystem, depth: int) -> PermutationAction:
     """The permutation psi_q induces on depth-k balls (equals the unperturbed
     one whenever depth <= 2, and for any depth when q = 0)."""
-    sys = psys.base
-    partition = sphere_partition(sys, depth, cap)
+    partition = sphere_partition(psys.base, depth)
     m = partition.modulus
     images = [psys.apply(r, m) for r in partition.representatives]
     return _permutation_from_images(partition, images)
@@ -696,7 +686,6 @@ def observe_marginal_perturbation(
     l: int,
     coefficients: list[int],
     k_max: int = 3,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> dict:
     """Observational sweep for perturbations only one digit deeper than the
     sphere level (coefficient valuations >= l+1 but not necessarily l+2).
@@ -727,7 +716,7 @@ def observe_marginal_perturbation(
     }
     per_depth = []
     for k in range(1, k_max + 1):
-        partition = sphere_partition(sys, k, cap)
+        partition = sphere_partition(sys, k)
         images = [apply(r, partition.modulus) for r in partition.representatives]
         ranks, on_sphere = _ball_ranks(partition, images)
         off_sphere = int((~on_sphere).sum())
@@ -738,13 +727,13 @@ def observe_marginal_perturbation(
         }
         if off_sphere == 0:
             try:
-                lengths = kernels.cycle_info(ranks)[1].tolist()
-            except ValueError:
+                perm = _permutation_from_ranks(partition, ranks, on_sphere)
+            except IntegrityError:
                 entry["ball_map_bijective"] = False
             else:
                 entry["ball_map_bijective"] = True
-                entry["cycle_lengths"] = sorted(lengths)
-                entry["transitive_observed"] = len(lengths) == 1
+                entry["cycle_lengths"] = sorted(perm.cycle_lengths.tolist())
+                entry["transitive_observed"] = perm.is_transitive
         per_depth.append(entry)
     observations["per_depth"] = per_depth
     observations["generator_mod_p2"] = is_generator_mod_p2(n, p)

@@ -8,8 +8,8 @@ cross-checks (no kernels, no PadicInt arithmetic in the checked quantities).
 A certificate is a frozen record {claim, parameters, status, annotations,
 witness?, digest}; the digest is the sha256 of its canonical JSON form, so a
 re-run with the same parameters reproduces it bit for bit. Sweeps refuse to
-start beyond their configured caps (p^K <= 10^6 residues and n <= 64 by
-default, both overridable) and a pair cap guards the quadratic sweeps.
+start beyond their caps: ``residue_cap`` (p^K <= 10^6 residues by default), and
+the constant exponent cap n <= 64 and pair cap 2*10^7 of the quadratic sweep.
 """
 
 from __future__ import annotations
@@ -89,12 +89,7 @@ def _vp_capped(x: int, p: int, cap: int) -> int:
 
 
 def certify_power_scaling(
-    p: int,
-    K: int,
-    n_max: int,
-    residue_cap: int = DEFAULT_RESIDUE_CAP,
-    n_cap: int = DEFAULT_N_CAP,
-    pair_cap: int = DEFAULT_PAIR_CAP,
+    p: int, K: int, n_max: int, residue_cap: int = DEFAULT_RESIDUE_CAP
 ) -> Certificate:
     """Exhaustively certify |x^n - y^n| <= |n| |x - y| over all unit pairs at
     distance >= 1, with equality whenever p > 2, or p = 2 with odd n.
@@ -112,13 +107,13 @@ def certify_power_scaling(
     m = p**K
     if m > residue_cap:
         raise ResourceError(f"p^K = {m} exceeds residue cap {residue_cap}")
-    if n_max > n_cap:
-        raise ResourceError(f"n_max = {n_max} exceeds exponent cap {n_cap}")
+    if n_max > DEFAULT_N_CAP:
+        raise ResourceError(f"n_max = {n_max} exceeds exponent cap {DEFAULT_N_CAP}")
     class_size = p ** (K - 1)
     pair_total = (p - 1) * class_size * (class_size - 1) // 2
-    if pair_total * n_max > pair_cap:
+    if pair_total * n_max > DEFAULT_PAIR_CAP:
         raise ResourceError(
-            f"{pair_total} pairs x {n_max} exponents exceed pair cap {pair_cap}"
+            f"{pair_total} pairs x {n_max} exponents exceed pair cap {DEFAULT_PAIR_CAP}"
         )
 
     parameters = {"p": p, "K": K, "n_max": n_max}

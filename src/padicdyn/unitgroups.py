@@ -1,5 +1,5 @@
 """Multiplicative structure of the units mod p^l: orders, generator tests,
-generated sets, and the level-consistency facts the dynamics verdicts rest on.
+generated sets and their density, the facts the dynamics verdicts rest on.
 """
 
 from __future__ import annotations
@@ -74,8 +74,9 @@ def is_generator_mod_p2(n: int, p: int) -> bool:
     return multiplicative_order(n, p, 2) == p * (p - 1)
 
 
-def generated_set(n: int, modulus: int) -> list[int]:
-    """The multiplicative cycle {n, n^2, ..., 1} mod modulus, in generation order."""
+def generated_set(n: int, modulus: int) -> np.ndarray:
+    """The multiplicative cycle {n, n^2, ..., 1} mod modulus, in generation
+    order, as an int64 array (object dtype above INT64_SAFE_MODULUS)."""
     if modulus < 2:
         raise DomainError("modulus must be at least 2")
     if gcd(n, modulus) != 1:
@@ -90,43 +91,7 @@ def generated_set(n: int, modulus: int) -> list[int]:
         block = powers * pow(n, powers.size, modulus) % modulus
         ones = np.flatnonzero(block == 1) + powers.size
         powers = np.concatenate((powers, block))
-    return powers[: ones[0] + 1].tolist()
-
-
-@dataclass(frozen=True, slots=True)
-class LevelOrder:
-    level: int
-    group_order: int
-    element_order: int
-    is_generator: bool
-
-
-@dataclass(frozen=True, slots=True)
-class GeneratorConsistencyReport:
-    """Orders of one element across levels 1..l_max of the prime-power tower."""
-
-    p: int
-    element: int
-    levels: tuple[LevelOrder, ...]
-    generator_at_2: bool
-    consistent: bool  # generator at level 2 <=> generator at every level >= 2
-
-
-def generator_consistency(n: int, p: int, l_max: int) -> GeneratorConsistencyReport:
-    """Check that being a generator mod p^2 decides the question at all levels >= 2."""
-    if p == 2:
-        raise DomainError("level consistency undefined at p = 2")
-    _require_prime(p)
-    if l_max < 2:
-        raise DomainError("l_max must be at least 2")
-    levels = []
-    for l in range(1, l_max + 1):
-        order = multiplicative_order(n, p, l)
-        group = euler_phi_prime_power(p, l)
-        levels.append(LevelOrder(l, group, order, order == group))
-    gen2 = levels[1].is_generator
-    consistent = all(lv.is_generator == gen2 for lv in levels[1:])
-    return GeneratorConsistencyReport(p, n, tuple(levels), gen2, consistent)
+    return powers[: ones[0] + 1]
 
 
 def noncyclic_2adic_check(l: int) -> bool:

@@ -1,5 +1,6 @@
 """Log/exp series against exact-rational oracles, power routes, roots of unity."""
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -7,7 +8,7 @@ import pytest
 
 from padicdyn.analysis import padic_exp, padic_log, pow_padic, roots_of_unity, teichmuller
 from padicdyn.errors import DomainError
-from padicdyn.padic import PadicInt, int_valuation
+from padicdyn.padic import PadicInt, int_valuation, is_prime
 
 
 def rational_mod(fr: Fraction, p: int, K: int) -> int:
@@ -236,6 +237,28 @@ def test_root_count_is_gcd():
             assert len(roots) == gcd(d, p - 1)
             for r in roots:
                 assert r.pow_nat(d).residue == 1
+
+
+def _roots_by_scanning_every_unit(d: int, p: int, K: int) -> list[int]:
+    """The construction roots_of_unity used before: lift each u with u^gcd(d, p-1) = 1."""
+    d0 = gcd(d, p - 1)
+    lifts = [teichmuller(PadicInt.from_integer(u, p, K)) for u in range(1, p) if pow(u, d0, p) == 1]
+    return sorted(r.residue for r in lifts)
+
+
+def test_roots_match_a_scan_of_every_unit():
+    for p in filter(is_prime, range(3, 201, 2)):
+        for d in range(1, 13):
+            assert [r.residue for r in roots_of_unity(d, p, 3)] == _roots_by_scanning_every_unit(d, p, 3)
+
+
+def test_roots_at_a_large_prime_take_bounded_time():
+    p, d, K = 1000000000121, 8, 4  # 8 divides p - 1; a scan of every unit would take days
+    start = time.perf_counter()
+    roots = roots_of_unity(d, p, K)
+    assert time.perf_counter() - start < 5
+    assert len({r.residue for r in roots}) == 8
+    assert all(pow(r.residue, d, p**K) == 1 for r in roots)
 
 
 def test_roots_rejects_p_two():

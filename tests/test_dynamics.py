@@ -102,8 +102,19 @@ def test_batch_ball_index(p, l, depth):
 
 
 def test_partition_cap():
-    with pytest.raises(ResourceError):
-        sphere_partition(MonomialSystem(3, 2, 1), 20, cap=10**4)
+    with pytest.raises(ResourceError, match="^partition of 2324522934 balls exceeds cap 1000000$"):
+        sphere_partition(MonomialSystem(3, 2, 1), 20)
+
+
+def test_ball_cap_is_read_at_call_time(monkeypatch):
+    sys_ = MonomialSystem(5, 2, 1)  # 4 * 5^(k-1) balls at depth k
+    monkeypatch.setattr(dynamics, "DEFAULT_BALL_CAP", 100)
+    assert sphere_partition(sys_, 3).ball_count == 100
+    assert minimality_verdict(sys_, 3).minimal
+    monkeypatch.setattr(dynamics, "DEFAULT_BALL_CAP", 99)
+    for build in (lambda: sphere_partition(sys_, 3), lambda: minimality_verdict(sys_, 3)):
+        with pytest.raises(ResourceError, match="^partition of 100 balls exceeds cap 99$"):
+            build()
 
 
 # -- induced permutations -----------------------------------------------------
@@ -202,7 +213,7 @@ def test_verdict_squaring_is_minimal():
 def test_verdict_fourth_power_is_not_minimal():
     v = minimality_verdict(MonomialSystem(3, 4, 1), 4)
     assert not (v.minimal or v.uniquely_ergodic or v.ergodic)
-    assert v.evidence.generated_mod_p2 == (1, 4, 7)
+    assert v.evidence.generated_mod_p2.tolist() == [1, 4, 7]
     assert v.evidence.invariant_ball == (1, 4)  # the ball of radius 1/9 around 4
 
 

@@ -45,13 +45,16 @@ def test_power_scaling_factorial_bound_rows():
     assert rows[2]["v_factorial"] == 1 and rows[2]["bound"] == 2  # v_3(3!) = 1 < 2
 
 
-def test_power_scaling_caps():
+def test_power_scaling_caps(monkeypatch):
     with pytest.raises(ResourceError):
         certify_power_scaling(7, 8, 4)  # 7^8 residues over the cap
     with pytest.raises(ResourceError):
         certify_power_scaling(3, 3, 200)  # exponent cap
-    with pytest.raises(ResourceError):
-        certify_power_scaling(3, 9, 64, pair_cap=10**5)
+    monkeypatch.setattr(oracle, "DEFAULT_PAIR_CAP", 1404)  # (3, 4, 2) sweeps 702 pairs x 2 exponents
+    assert certify_power_scaling(3, 4, 2).passed
+    monkeypatch.setattr(oracle, "DEFAULT_PAIR_CAP", 1403)
+    with pytest.raises(ResourceError, match="^702 pairs x 2 exponents exceed pair cap 1403$"):
+        certify_power_scaling(3, 4, 2)
 
 
 def test_certificate_digest_reproducible():

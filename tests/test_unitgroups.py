@@ -2,17 +2,19 @@
 
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicdyn import unitgroups
 from padicdyn.errors import DomainError, ResourceError
+from padicdyn.kernels import INT64_SAFE_MODULUS
+from padicdyn.oracle import certify_generator_consistency
 from padicdyn.padic import euler_phi_prime_power
 from padicdyn.unitgroups import (
     density_check,
     generated_set,
-    generator_consistency,
     is_generator_mod_p2,
     multiplicative_order,
     noncyclic_2adic_check,
@@ -78,9 +80,9 @@ def test_unit_group_report_fields():
 
 
 def test_generated_sets():
-    assert generated_set(4, 9) == [4, 7, 1]
-    assert sorted(generated_set(2, 9)) == [1, 2, 4, 5, 7, 8]
-    assert generated_set(1, 100) == [1]
+    assert generated_set(4, 9).tolist() == [4, 7, 1]
+    assert sorted(generated_set(2, 9).tolist()) == [1, 2, 4, 5, 7, 8]
+    assert generated_set(1, 100).tolist() == [1]
     with pytest.raises(DomainError):
         generated_set(6, 9)
     with pytest.raises(ResourceError):
@@ -120,9 +122,10 @@ def _walked_set(n: int, modulus: int) -> list[int]:
 def test_generated_set_matches_a_plain_loop(n, modulus, order, monkeypatch):
     monkeypatch.setattr(unitgroups, "DEFAULT_RESIDUE_CAP", modulus)
     got = generated_set(n, modulus)
+    assert got.dtype == (np.int64 if modulus <= INT64_SAFE_MODULUS else object)
     assert len(got) == order
-    assert got == _walked_set(n, modulus)
-    assert all(type(x) is int for x in got)
+    assert got.tolist() == _walked_set(n, modulus)
+    assert all(type(x) is int for x in got.tolist())
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -133,34 +136,26 @@ def test_generated_set_matches_a_plain_loop_on_random_moduli(case):
         with pytest.raises(DomainError):
             generated_set(n, modulus)
     else:
-        assert generated_set(n, modulus) == _walked_set(n, modulus)
+        assert generated_set(n, modulus).tolist() == _walked_set(n, modulus)
 
 
 def test_generator_consistency_examples():
-    rep = generator_consistency(2, 3, 5)
-    assert rep.generator_at_2 and rep.consistent
-    assert all(lv.is_generator for lv in rep.levels[1:])
-    rep = generator_consistency(4, 3, 5)
-    assert not rep.generator_at_2 and rep.consistent
-    assert not any(lv.is_generator for lv in rep.levels[1:])
+    assert all(unit_group_report(2, 3, l).is_generator for l in range(2, 6))
+    assert not any(unit_group_report(4, 3, l).is_generator for l in range(2, 6))
 
 
 def test_generator_mod_p_but_not_mod_p2():
-    # 8 generates the units mod 3 but 8^2 = 64 = 1 mod 9
-    rep = generator_consistency(8, 3, 5)
-    assert rep.levels[0].is_generator  # level 1
-    assert not rep.generator_at_2
-    assert rep.consistent  # consistency concerns levels >= 2 only
-    assert not any(lv.is_generator for lv in rep.levels[1:])
+    # 8 generates the units mod 3 but 8^2 = 64 = 1 mod 9, and so at no level >= 2
+    assert unit_group_report(8, 3, 1).is_generator
+    assert not any(unit_group_report(8, 3, l).is_generator for l in range(2, 6))
 
 
 def test_generator_consistency_exhaustive():
     # level 2 decides every level up to 5, for all units mod p^2
     for p in (3, 5, 7, 11):
-        for n in range(1, p * p):
-            if n % p == 0:
-                continue
-            assert generator_consistency(n, p, 5).consistent
+        cert = certify_generator_consistency(p, 5)
+        assert cert.passed
+        assert cert.annotations["units_checked"] == p * p - p
 
 
 def test_noncyclic_2adic():
@@ -187,7 +182,7 @@ def test_density_examples():
 
 def test_density_by_enumeration_oracle():
     # <2> mod 81 really reaches every unit
-    reached = set(generated_set(2, 81))
+    reached = set(generated_set(2, 81).tolist())
     units = {r for r in range(81) if r % 3 != 0}
     assert reached == units
 
