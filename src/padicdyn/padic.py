@@ -8,46 +8,115 @@ integers, so p^K may exceed the machine word without any special handling.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import isqrt
+from functools import lru_cache
+from itertools import count
+from math import gcd
+from operator import index
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
+
+# The first 13 primes, trial divisors and Miller-Rabin bases, and psi_13, the
+# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BOUND = 3317044064679887385961981
+PRIME_CACHE_SIZE = 1 << 12
+# Rho finds a prime q in about sqrt(q) steps; a composite below MR_EXACT_BOUND
+# has one below 1.9e12, and 2^25 steps take about 15 s (2-core x86-64 host).
+RHO_STEP_CAP = 1 << 25
+_RHO_BATCH = 128  # rho steps per gcd
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; intended for desk-scale moduli."""
-    if n < 2:
-        return False
-    if n in (2, 3):
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    r = isqrt(n)
-    while f <= r:
-        if n % f == 0:
+def _miller_rabin(n: int) -> bool:
+    """Miller-Rabin to the 13 bases, for n > 41 with no prime factor up to 41.
+    Raises ResourceError at or above MR_EXACT_BOUND unless a base is a witness."""
+    n = index(n)
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= MR_EXACT_BOUND:
+        raise ResourceError(f"primality of {n} is not decided at or above {MR_EXACT_BOUND}")
     return True
 
 
+@lru_cache(maxsize=PRIME_CACHE_SIZE)
+def is_prime(n: int) -> bool:
+    """Trial division by the primes up to 41, then Miller-Rabin to those 13
+    bases; cached for PRIME_CACHE_SIZE values.
+
+    Exact below psi_13 = 3317044064679887385961981 (Sorenson & Webster, "Strong
+    pseudoprimes to twelve prime bases", Math. Comp. 2017); the first 12 bases
+    call psi_12 = 318665857834031151167461 prime. At or above psi_13 a witness
+    still proves n composite; any other n raises ResourceError.
+    """
+    for q in _BASES:
+        if n % q == 0:
+            return n == q
+    return n > 1 and (n < 43 * 43 or _miller_rabin(n))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of a composite n with no prime factor up to 41, by
+    Brent's rho (BIT 1980) on y^2 + c from y = 2, c = 1, 2, ..., capped at
+    RHO_STEP_CAP steps in all."""
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > RHO_STEP_CAP:
+                raise ResourceError(f"factoring {n} exceeds {RHO_STEP_CAP} rho steps")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the last batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, as {prime: multiplicity}."""
+    """{prime: multiplicity} in ascending order: trial division by the primes
+    up to 41, then Brent's rho splits each cofactor until Miller-Rabin says
+    prime. Raises ResourceError where either of those does."""
     if n <= 0:
         raise ValueError("factorize needs a positive integer")
-    out: dict[int, int] = {}
-    while n % 2 == 0:
-        out[2] = out.get(2, 0) + 1
-        n //= 2
-    f = 3
-    while f * f <= n:
-        while n % f == 0:
-            out[f] = out.get(f, 0) + 1
-            n //= f
-        f += 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    found = []
+    for q in _BASES:
+        while n % q == 0:
+            found.append(q)
+            n //= q
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < 43 * 43 or _miller_rabin(m):
+            found.append(m)
+        else:
+            d = _rho_divisor(m)
+            pending += (d, m // d)
+    return dict(sorted(Counter(found).items()))
 
 
 def int_valuation(n: int, p: int) -> int:

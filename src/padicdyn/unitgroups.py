@@ -24,8 +24,8 @@ def _require_prime(p: int) -> None:
 def multiplicative_order(n: int, p: int, l: int) -> int:
     """Least N >= 1 with n^N = 1 mod p^l.
 
-    Factors the group order (p-1) * p^(l-1) by trial division and descends
-    through its divisors; desk-scale p only.
+    Factors the group order (p-1) * p^(l-1) with ``padic.factorize`` and
+    descends through its divisors; p is limited only by ``padic.is_prime``.
     """
     _require_prime(p)
     if l < 1:
@@ -34,10 +34,7 @@ def multiplicative_order(n: int, p: int, l: int) -> int:
         raise DomainError(f"{n} is not a unit mod {p}^{l}")
     modulus = p**l
     order = euler_phi_prime_power(p, l)
-    primes = set(factorize(p - 1))
-    if l >= 2:
-        primes.add(p)
-    for q in sorted(primes):
+    for q in (*factorize(p - 1), p):  # p divides the order only when l >= 2
         while order % q == 0 and pow(n, order // q, modulus) == 1:
             order //= q
     return order

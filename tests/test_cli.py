@@ -59,6 +59,29 @@ def test_analyze_rejects_non_unit_exponent(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["analyze", "--p", "1000000000000000003", "--n", "2", "--l", "1", "--depth", "2"],
+            "padicdyn analyze: partition of 1000000000000000002 balls exceeds cap 1000000\n",
+        ),
+        (
+            ["verify", "power-scaling", "--p", "1000000000000000003", "--K", "2", "--n-max", "1"],
+            "padicdyn verify: p^K = 1000000000000000006000000000000000009 exceeds residue "
+            "cap 1000000\n",
+        ),
+        (
+            ["analyze", "--p", str(2**89 - 1), "--n", "2", "--l", "1", "--depth", "2"],
+            "padicdyn analyze: primality of 618970019642690137449562111 is not decided at or "
+            "above 3317044064679887385961981\n",
+        ),
+    ],
+)
+def test_huge_primes_exit_two_at_once(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
 def test_parse_failure_is_usage_error(capsys):
     assert main(["analyze", "--p", "three"]) == 1
     capsys.readouterr()

@@ -1,9 +1,23 @@
 """Core arithmetic: construction, ring ops, valuations, digits and primality."""
 
-import pytest
+import time
 
-from padicdyn.errors import DomainError
-from padicdyn.padic import PadicInt, Valuation, int_valuation, is_prime
+import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from padicdyn.errors import DomainError, ResourceError
+from padicdyn.padic import (
+    MR_EXACT_BOUND,
+    PadicInt,
+    Valuation,
+    factorize,
+    int_valuation,
+    is_prime,
+)
+
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
 
 
 def egcd(a: int, b: int):
@@ -174,3 +188,80 @@ def test_digit_text_form():
 def test_is_prime_small_table():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_is_prime_matches_sympy_below_two_hundred_thousand():
+    assert [n for n in range(200_000) if is_prime(n)] == list(sympy.primerange(200_000))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 25).flatmap(lambda e: st.integers(-10, min(10**e, MR_EXACT_BOUND - 1))))
+@example(MR_EXACT_BOUND - 1)
+def test_is_prime_matches_sympy_in_the_exact_range(n):
+    assert is_prime(n) == sympy.isprime(n)
+    q = sympy.nextprime(n)  # so that the Miller-Rabin rounds run, not just trial division
+    assert q >= MR_EXACT_BOUND or is_prime(q)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to bases 2..23
+        PSI_12,  # strong pseudoprime to bases 2..37
+        561,
+        41041,  # Carmichael numbers
+        43**2,
+        65537**2,
+        1000000007**2,
+        (2**61 - 1) ** 2,  # prime squares
+    ],
+)
+def test_is_prime_rejects_pseudoprimes_and_prime_squares(n):
+    assert not sympy.isprime(n)
+    assert not is_prime(n)
+
+
+def test_is_prime_above_the_exact_range():
+    assert MR_EXACT_BOUND == 3317044064679887385961981
+    assert not sympy.isprime(MR_EXACT_BOUND)
+    assert not is_prime(2**89 + 1)  # a base is a witness: still a proof
+    with pytest.raises(ResourceError, match="not decided"):
+        is_prime(2**89 - 1)  # a Mersenne prime past the range
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda e: st.integers(10 ** (e - 1), 10**e)))
+def test_factorize_matches_sympy(n):
+    got = factorize(n)
+    assert got == sympy.factorint(n)
+    assert list(got) == sorted(got)
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [
+        (999999937, 1000000007),
+        (1000000007, 1000000009),
+        (99999999977, 100000000003),
+        (2, 1000000007, 1000000009),
+        (3, 3, 43, 43, 1000003, 1000003),
+    ],
+)
+def test_factorize_splits_products_of_large_primes(primes):
+    n = 1
+    for q in primes:
+        n *= q
+    assert factorize(n) == sympy.factorint(n)
+
+
+def test_factorize_two_ten_digit_primes_is_fast():
+    start = time.perf_counter()
+    assert factorize(1000000007 * 1000000009) == {1000000007: 1, 1000000009: 1}
+    assert time.perf_counter() - start < 1.0
+
+
+def test_factorize_rejects_non_positive():
+    assert factorize(1) == {}
+    with pytest.raises(ValueError):
+        factorize(0)

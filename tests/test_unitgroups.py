@@ -1,17 +1,20 @@
 """Orders, generators, generated sets, and 2-adic noncyclicity."""
 
+import time
 from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory import n_order
 
 from padicdyn import unitgroups
+from padicdyn.dynamics import MonomialSystem
 from padicdyn.errors import DomainError, ResourceError
 from padicdyn.kernels import INT64_SAFE_MODULUS
 from padicdyn.oracle import certify_generator_consistency
-from padicdyn.padic import euler_phi_prime_power
+from padicdyn.padic import euler_phi_prime_power, is_prime
 from padicdyn.unitgroups import (
     density_check,
     generated_set,
@@ -55,6 +58,26 @@ def test_order_divides_group_order():
                 if n % p == 0:
                     continue
                 assert group % multiplicative_order(n, p, l) == 0
+
+
+# p - 1 = 2 * 1000000007 * 1000000009, and 10**18 + 2 = 2 * 3 * 17 * 131 * 1427 * 52445056723
+BIG_PRIMES = (2000000032000000127, 10**18 + 3)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+@pytest.mark.parametrize("n", [2, 3, 10**9 + 7])
+def test_order_matches_sympy_at_nineteen_digit_primes(n, p):
+    for l in (1, 2, 3):
+        assert multiplicative_order(n, p, l) == n_order(n, p**l)
+
+
+def test_large_primes_answer_in_milliseconds():
+    is_prime.cache_clear()
+    start = time.perf_counter()
+    for p in BIG_PRIMES:
+        MonomialSystem(p, 2, 1)
+        multiplicative_order(2, p, 3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_order_rejects_non_units_and_composites():
