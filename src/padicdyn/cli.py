@@ -264,14 +264,15 @@ def _cmd_orbit(args) -> int:
     table = []
     for k in range(1, args.depth + 1):
         part = sphere_partition(sys_, k)
+        centers = part.centers().tolist()
         if args.l + k > precision:
             raise DomainError("indicator is finer than the point's precision")
         ranks = part.indices_of(orbit)
         if k == 1:
-            shadow = [part.representatives[i] for i in ranks.tolist()]
+            shadow = [centers[i] for i in ranks.tolist()]
         haar = haar_ball_measure(sys_, k)
         visits = np.bincount(ranks, minlength=part.ball_count).tolist()
-        for center, count in zip(part.representatives, visits):
+        for center, count in zip(centers, visits):
             average = Fraction(count, args.steps)
             table.append(
                 {

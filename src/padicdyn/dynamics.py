@@ -12,19 +12,19 @@ Residue sweeps run through the numpy int64 kernels when the modulus permits
 and fall back to Python big ints otherwise. One routine, :func:`_ball_ranks`,
 tests whether residues lie on the sphere and ranks their balls; the batch ball
 index :meth:`BallPartition.indices_of` and every checked ball permutation,
-:func:`_permutation_from_images`, are built on it. A :class:`PermutationAction`
-keeps the kernels' int64 arrays, and a verdict its sorted generated set as one
-array; the partition representatives and reported cycle lengths are tuples of
-ints. Every verdict, around 1 or around another fixed point, is assembled by
-:func:`_verdict_from_depths` from the base power-map permutations, which
-conjugation by a fixed point keeps.
+:func:`_permutation_from_images`, are built on it. Only
+:meth:`BallPartition.centers` enumerates balls, as one array, under the ball
+cap. Permutations and a verdict's generated set stay arrays; the reported cycle
+lengths are tuples. Every verdict, around 1 or around another fixed point, is
+assembled by :func:`_verdict_from_depths` from the base power-map
+permutations, which conjugation by a fixed point keeps.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 import numpy as np
@@ -83,14 +83,20 @@ class MonomialSystem:
 class BallPartition:
     """The depth-k splitting of the sphere into balls of radius p^-(l+k).
 
-    Representatives are the residues 1 + t*p^l mod p^(l+k) with t in [1, p^k)
-    not divisible by p, listed ascending; each is the least point of its ball.
+    Ball i is centred at 1 + t*p^l, t = i + 1 + i // (p-1) the (i+1)-th integer
+    in [1, p^k) prime to p: the least point of its ball. Only :meth:`centers`
+    enumerates, so a partition of any size can be built and indexed.
     """
 
     prime: int
     level: int
     depth: int
-    representatives: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.level < 1:
+            raise DomainError("sphere level must be at least 1")
+        if self.depth < 1:
+            raise DomainError("depth must be at least 1")
 
     @property
     def modulus(self) -> int:
@@ -98,7 +104,7 @@ class BallPartition:
 
     @property
     def ball_count(self) -> int:
-        return len(self.representatives)
+        return (self.prime - 1) * self.prime ** (self.depth - 1)
 
     def indices_of(self, residues: list[int]) -> np.ndarray:
         """Ranks of the balls containing ``residues``, which must all lie on the
@@ -114,25 +120,28 @@ class BallPartition:
         return int(self.indices_of([residue])[0])
 
     def ball_center(self, index: int) -> int:
-        return self.representatives[index]
+        i = operator.index(index)
+        if not 0 <= i < self.ball_count:
+            raise DomainError(f"ball index {i} outside 0..{self.ball_count - 1}")
+        return 1 + (i + 1 + i // (self.prime - 1)) * self.prime**self.level
+
+    def centers(self) -> np.ndarray:
+        """All centres, ascending: int64 if the modulus fits, else object dtype.
+        Every sphere enumeration comes here; it refuses over DEFAULT_BALL_CAP balls."""
+        count = self.ball_count
+        if count > DEFAULT_BALL_CAP:
+            raise ResourceError(f"partition of {count} balls exceeds cap {DEFAULT_BALL_CAP}")
+        t = np.arange(count, dtype=np.int64)
+        t += t // (self.prime - 1) + 1
+        if self.modulus > _INT64_MAX:
+            t = t.astype(object)
+        return 1 + t * self.prime**self.level
 
 
 def sphere_partition(sys: MonomialSystem, depth: int) -> BallPartition:
-    """Enumerate the depth-k partition representatives, ascending, refusing
-    more than ``DEFAULT_BALL_CAP`` balls; every sphere enumeration comes here."""
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
-    p, l = sys.p, sys.l
-    count = (p - 1) * p ** (depth - 1)
-    if count > DEFAULT_BALL_CAP:
-        raise ResourceError(f"partition of {count} balls exceeds cap {DEFAULT_BALL_CAP}")
-    step = p**l
-    residues = list(range(1 + step, 1 + p**depth * step, step))  # 1 + t*step for 0 < t < p^depth
-    del residues[p - 1 :: p]  # the t divisible by p
-    reps = tuple(residues)
-    if len(reps) != count:
-        raise IntegrityError("partition enumeration lost representatives")
-    return BallPartition(p, l, depth, reps)
+    """The depth-k partition of the system's sphere; depth must be at least 1.
+    Nothing is enumerated here: see :meth:`BallPartition.centers`."""
+    return BallPartition(sys.p, sys.l, depth)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -162,8 +171,8 @@ def _ball_ranks(partition: BallPartition, images) -> tuple[np.ndarray, np.ndarra
 
     ``images`` are residues reduced mod the partition modulus (int64 array or
     Python ints). Returns ``(ranks, on_sphere)``: whether each residue lies on
-    the sphere |x - 1| = p^-l, and the int64 index of its ball, meaningful only
-    where it does. The arithmetic dtype follows the modulus, not the values:
+    the sphere |x - 1| = p^-l, and the index of its ball where it does (int64
+    while p^k fits). The arithmetic dtype follows the modulus, not the values:
     left to itself numpy reads a mix of ints below and above 2**63 as float64.
     """
     p, step = partition.prime, partition.prime**partition.level
@@ -173,14 +182,16 @@ def _ball_ranks(partition: BallPartition, images) -> tuple[np.ndarray, np.ndarra
     t //= step  # the residue is 1 + t*p^l, on the sphere exactly when p does not divide t
     on_sphere &= t % p != 0
     ranks = (t - 1) - (t - 1) // p  # rank of t among 1..p^k-1 skipping multiples of p
-    return ranks.astype(np.int64, copy=False), on_sphere
+    if p**partition.depth <= _INT64_MAX:
+        ranks = ranks.astype(np.int64, copy=False)
+    return ranks, on_sphere
 
 
 def _permutation_from_images(partition: BallPartition, images) -> PermutationAction:
-    """Check the images of a partition's representatives and return the
+    """Check the images of a partition's ball centres and return the
     permutation they induce, with its cycle structure.
 
-    ``images[i]`` is the image of representative i, reduced mod the partition
+    ``images[i]`` is the image of centre i, reduced mod the partition
     modulus. Raises IntegrityError when an image leaves the sphere or the ball
     map is not a bijection.
     """
@@ -201,11 +212,11 @@ def _permutation_from_ranks(partition: BallPartition, mapping, on_sphere) -> Per
 def induced_permutation(sys: MonomialSystem, depth: int) -> PermutationAction:
     """The permutation of depth-k balls, with its cycle structure.
 
-    A representative c moves to the ball of c^n mod p^(l+k); the result is a
+    A ball centre c moves to the ball of c^n mod p^(l+k); the result is a
     bijection because the map is an isometry on the sphere.
     """
     partition = sphere_partition(sys, depth)
-    images = kernels.power_map_any(partition.representatives, sys.n, partition.modulus)
+    images = kernels.power_map_any(partition.centers(), sys.n, partition.modulus)
     return _permutation_from_images(partition, images)
 
 
@@ -303,9 +314,7 @@ def minimality_verdict(sys: MonomialSystem, k_max: int = 4) -> Verdict:
 
 def haar_ball_measure(sys: MonomialSystem, depth: int) -> Fraction:
     """Normalized measure of one depth-k ball inside the sphere."""
-    if depth < 1:
-        raise DomainError("depth must be at least 1")
-    return Fraction(1, (sys.p - 1) * sys.p ** (depth - 1))
+    return Fraction(1, BallPartition(sys.p, sys.l, depth).ball_count)
 
 
 @dataclass(frozen=True, slots=True)
@@ -490,8 +499,8 @@ def product_nonmixing_report(sys: MonomialSystem, depth: int) -> ProductReport:
     class_mod = p ** (l + depth)
     mod_w = p**kw
     step = p**l
-    sphere_points = (1 + t * step for t in range(1, p ** (l + depth)) if t % p != 0)
-    points = list(islice(sphere_points, _LOG_POINT_CAP))
+    sphere = BallPartition(p, l, l + depth)
+    points = [sphere.ball_center(i) for i in range(min(_LOG_POINT_CAP, sphere.ball_count))]
     shifted = []
     shifted_next = []
     for r in points:
@@ -626,13 +635,13 @@ def perturbed_analysis(psys: PerturbedSystem, k_max: int = 3, n_max: int = 6) ->
     # Pointwise re-verification of the vanishing condition on the sphere.
     mod2 = p ** (l + 2)
     part2 = sphere_partition(sys, 2)
-    reps2 = part2.representatives
+    reps2 = part2.centers().tolist()
     pointwise_ok = all(psys.q.evaluate_residue(r, mod2) == 0 for r in reps2)
 
     invariance = []
     for k in range(1, k_max + 1):
-        part = part2 if k == 2 else sphere_partition(sys, k)
-        ranked = _ball_ranks(part, [psys.apply(r, part.modulus) for r in part.representatives])
+        part = sphere_partition(sys, k)
+        ranked = _ball_ranks(part, [psys.apply(r, part.modulus) for r in part.centers().tolist()])
         if k == 2:
             ranked2 = ranked
         invariance.append((k, bool(ranked[1].all())))
@@ -676,7 +685,7 @@ def perturbed_ball_map(psys: PerturbedSystem, depth: int) -> PermutationAction:
     one whenever depth <= 2, and for any depth when q = 0)."""
     partition = sphere_partition(psys.base, depth)
     m = partition.modulus
-    images = [psys.apply(r, m) for r in partition.representatives]
+    images = [psys.apply(r, m) for r in partition.centers().tolist()]
     return _permutation_from_images(partition, images)
 
 
@@ -717,7 +726,7 @@ def observe_marginal_perturbation(
     per_depth = []
     for k in range(1, k_max + 1):
         partition = sphere_partition(sys, k)
-        images = [apply(r, partition.modulus) for r in partition.representatives]
+        images = [apply(r, partition.modulus) for r in partition.centers().tolist()]
         ranks, on_sphere = _ball_ranks(partition, images)
         off_sphere = int((~on_sphere).sum())
         entry = {

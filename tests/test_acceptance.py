@@ -149,7 +149,7 @@ def test_criterion_6_exact_birkhoff():
             part = sphere_partition(sys_, k)
             m_count = part.ball_count
             modulus = part.modulus
-            for start in part.representatives:
+            for start in part.centers().tolist():
                 # every ball is visited exactly once in M steps, so every
                 # depth-k indicator averages to exactly 1/M from every start
                 seen = []
@@ -163,8 +163,9 @@ def test_criterion_6_exact_birkhoff():
 
     sys_ = MonomialSystem(5, 2, 1)
     part = sphere_partition(sys_, 2)
-    for start in part.representatives[:5]:
-        for center in part.representatives[:3]:
+    centers = part.centers().tolist()
+    for start in centers[:5]:
+        for center in centers[:3]:
             res = birkhoff_average(
                 sys_, PadicInt(5, 3, start), BallIndicator(center, 3), part.ball_count
             )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -80,6 +81,38 @@ def test_analyze_rejects_non_unit_exponent(capsys):
 )
 def test_huge_primes_exit_two_at_once(capsys, argv, err):
     assert run_cli(capsys, *argv) == (2, "", err)
+
+
+
+_ORBIT = ["orbit", "--p", "3", "--n", "2", "--l", "1", "--x0", "4", "--steps", "5", "--depth", "14"]
+_PERTURB = ["perturb", "--p", "3", "--n", "2", "--l", "1", "--q", "27", "--depth", "14"]
+_BILLION_BALLS = [
+    ["analyze", "--p", "1000000007", "--n", "5", "--l", "1", "--depth", "20"],
+    ["orbit", "--p", "1000000007", "--n", "5", "--l", "1", "--x0", "1000000008", "--steps", "3",
+     "--depth", "1"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, balls",
+    [(argv, 1000000006) for argv in _BILLION_BALLS]
+    + [(_ORBIT, 1062882), (_PERTURB, 1062882), (_PERTURB + ["--marginal"], 1062882)],
+)
+def test_every_ball_walk_refuses_partitions_beyond_the_cap(capsys, argv, balls):
+    # At p = 3, depth 13 is the first with more than 10^6 balls.
+    err = f"padicdyn {argv[0]}: partition of {balls} balls exceeds cap 1000000\n"
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv", _BILLION_BALLS)
+def test_the_cap_is_checked_before_anything_the_size_of_the_partition(capsys, argv):
+    tracemalloc.start()
+    try:
+        assert run_cli(capsys, *argv)[0] == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # an int64 array of the 10^9 balls would take 8 GB
 
 
 def test_parse_failure_is_usage_error(capsys):
@@ -186,7 +219,7 @@ def test_orbit_rows_match_birkhoff_average(capsys, p, n, l, x0, steps, depth):
     start = PadicInt.from_integer(x0, p, doc["parameters"]["precision"])
     expected = []
     for k in range(1, depth + 1):
-        for center in sphere_partition(sys_, k).representatives:
+        for center in sphere_partition(sys_, k).centers().tolist():
             res = birkhoff_average(sys_, start, BallIndicator(center, l + k), steps)
             expected.append(
                 {

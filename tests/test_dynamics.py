@@ -1,17 +1,19 @@
 """Partitions, permutations, verdicts, averages, conjugation, products, perturbations."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.ntheory import n_order
 
 from padicdyn import dynamics, kernels
 from padicdyn.dynamics import (
     BallIndicator,
+    BallPartition,
     DigitValue,
     MonomialSystem,
     PerturbedSystem,
@@ -53,7 +55,7 @@ def test_system_validation():
 
 
 def test_partition_examples():
-    assert sphere_partition(MonomialSystem(3, 2, 1), 1).representatives == (4, 7)
+    assert sphere_partition(MonomialSystem(3, 2, 1), 1).centers().tolist() == [4, 7]
     assert sphere_partition(MonomialSystem(3, 2, 1), 2).ball_count == 6
     part = sphere_partition(MonomialSystem(5, 2, 2), 3)
     assert part.ball_count == 100
@@ -61,8 +63,9 @@ def test_partition_examples():
 
 def test_partition_is_sorted_and_indexable():
     part = sphere_partition(MonomialSystem(7, 3, 1), 2)
-    assert list(part.representatives) == sorted(part.representatives)
-    for i, rep in enumerate(part.representatives):
+    centers = part.centers().tolist()
+    assert centers == sorted(centers)
+    for i, rep in enumerate(centers):
         assert part.index_of(rep) == i
     with pytest.raises(DomainError):
         part.index_of(1)  # the center is not on the sphere
@@ -75,9 +78,10 @@ def test_partition_matches_the_filtered_enumeration(p, l, depth):
     # The first two moduli, 19^17 and 3^44, lie above 2**63.
     part = sphere_partition(MonomialSystem(p, 2, l), depth)
     step = p**l
-    assert part.representatives == tuple(1 + t * step for t in range(1, p**depth) if t % p != 0)
-    assert list(part.representatives) == sorted(part.representatives)
-    for i, rep in enumerate(part.representatives):
+    centers = part.centers().tolist()
+    assert centers == [1 + t * step for t in range(1, p**depth) if t % p != 0]
+    assert centers == sorted(centers)
+    for i, rep in enumerate(centers):
         assert part.index_of(rep) == i
 
 
@@ -86,7 +90,7 @@ def test_batch_ball_index(p, l, depth):
     # 19^17 lies above 2**63.
     part = sphere_partition(MonomialSystem(p, 2, l), depth)
     m = part.modulus
-    reps = list(part.representatives)
+    reps = part.centers().tolist()
     # residues are reduced mod the partition modulus first, negatives included
     residues = reps + [r + 3 * m for r in reps] + [r - m for r in reps]
     expected = list(range(part.ball_count)) * 3
@@ -103,18 +107,86 @@ def test_batch_ball_index(p, l, depth):
 
 def test_partition_cap():
     with pytest.raises(ResourceError, match="^partition of 2324522934 balls exceeds cap 1000000$"):
-        sphere_partition(MonomialSystem(3, 2, 1), 20)
+        sphere_partition(MonomialSystem(3, 2, 1), 20).centers()
 
 
 def test_ball_cap_is_read_at_call_time(monkeypatch):
     sys_ = MonomialSystem(5, 2, 1)  # 4 * 5^(k-1) balls at depth k
     monkeypatch.setattr(dynamics, "DEFAULT_BALL_CAP", 100)
-    assert sphere_partition(sys_, 3).ball_count == 100
+    assert sphere_partition(sys_, 3).centers().size == 100
     assert minimality_verdict(sys_, 3).minimal
     monkeypatch.setattr(dynamics, "DEFAULT_BALL_CAP", 99)
-    for build in (lambda: sphere_partition(sys_, 3), lambda: minimality_verdict(sys_, 3)):
+    for build in (lambda: sphere_partition(sys_, 3).centers(), lambda: minimality_verdict(sys_, 3)):
         with pytest.raises(ResourceError, match="^partition of 100 balls exceeds cap 99$"):
             build()
+
+
+
+def test_ball_center_rejects_indices_off_the_partition():
+    part = sphere_partition(MonomialSystem(3, 2, 1), 2)
+    assert [part.ball_center(i) for i in range(6)] == [4, 7, 13, 16, 22, 25]
+    assert part.ball_center(np.int64(5)) == 25
+    for bad in (-1, 6, -7):
+        with pytest.raises(DomainError, match=f"^ball index {bad} outside 0..5$"):
+            part.ball_center(bad)
+
+
+def test_partition_rejects_depth_and_level_below_one():
+    for level, depth in ((0, 1), (1, 0), (-1, 2), (2, -3)):
+        with pytest.raises(DomainError, match="must be at least 1$"):
+            BallPartition(5, level, depth)
+    with pytest.raises(DomainError, match="^depth must be at least 1$"):
+        sphere_partition(MonomialSystem(5, 2, 1), 0)
+
+
+def _enumerated_centers(p, l, depth):
+    """The centres as an arithmetic range with every p-th entry deleted."""
+    step = p**l
+    residues = list(range(1 + step, 1 + p**depth * step, step))  # 1 + t*step, 0 < t < p^depth
+    del residues[p - 1 :: p]  # the t divisible by p
+    return residues
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    st.sampled_from([3, 5, 7, 11, 13, 19, 23, 97]),
+    st.integers(1, 45),
+    st.integers(1, 5),
+)
+@example(19, 15, 2)  # 19^17 > 2**63
+@example(3, 40, 4)  # 3^44 > 2**63
+@example(3, 39, 1)  # 3^40 lies between 2**63 and 2**64
+def test_partition_arithmetic_matches_the_enumeration(p, l, depth):
+    assume((p - 1) * p ** (depth - 1) <= 5000)
+    part = BallPartition(p, l, depth)
+    centers = part.centers()
+    assert centers.dtype == (np.int64 if part.modulus < 2**63 else object)
+    assert centers.tolist() == _enumerated_centers(p, l, depth)
+    assert part.ball_count == centers.size
+    ranks, on_sphere = dynamics._ball_ranks(part, centers)
+    assert on_sphere.all()
+    assert np.array_equal(ranks, np.arange(part.ball_count))
+    assert [part.ball_center(i) for i in range(part.ball_count)] == centers.tolist()
+
+
+def test_a_partition_beyond_the_cap_is_built_and_indexed_without_enumeration():
+    count = 2 * 3**42  # about 2.2e20 balls; the modulus 3^44 lies above 2**63
+    tracemalloc.start()
+    try:
+        part = BallPartition(3, 1, 43)
+        assert part.ball_count == count
+        for i in (0, 1, 2, 12345678901234567, count // 2, count - 1):
+            center = part.ball_center(i)
+            assert center == 1 + (i + 1 + i // 2) * 3
+            assert part.index_of(center) == i
+        assert part.ball_center(count - 1) == part.modulus - 2
+        with pytest.raises(ResourceError, match=f"^partition of {count} balls exceeds cap 1000000$"):
+            part.centers()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sphere_partition(MonomialSystem(3, 2, 1), 43) == part
 
 
 # -- induced permutations -----------------------------------------------------
@@ -148,14 +220,15 @@ def test_permutation_matches_plain_powers():
     sys_ = MonomialSystem(7, 3, 2)
     perm = induced_permutation(sys_, 2)
     part = perm.partition
-    for i, rep in enumerate(part.representatives):
+    centers = part.centers().tolist()
+    for i, rep in enumerate(centers):
         img = pow(rep, 3, part.modulus)
-        assert part.representatives[perm.mapping[i]] == img
+        assert centers[perm.mapping[i]] == img
 
 
 def test_colliding_ball_images_raise_integrity_error():
     part = sphere_partition(MonomialSystem(5, 2, 1), 2)
-    images = list(part.representatives)
+    images = part.centers().tolist()
     images[3] = images[0]
     with pytest.raises(IntegrityError, match="not a bijection"):
         dynamics._permutation_from_images(part, images)
@@ -164,7 +237,7 @@ def test_colliding_ball_images_raise_integrity_error():
 @pytest.mark.parametrize("bad", [0, 1, 1 + 5**3])  # 1 + p^(l+1) lies at distance p^-(l+1)
 def test_off_sphere_ball_images_raise_integrity_error(bad):
     part = sphere_partition(MonomialSystem(5, 2, 2), 2)
-    images = list(part.representatives)
+    images = part.centers().tolist()
     images[7] = bad
     with pytest.raises(IntegrityError, match="left the sphere"):
         dynamics._permutation_from_images(part, images)
@@ -172,7 +245,7 @@ def test_off_sphere_ball_images_raise_integrity_error(bad):
 
 def test_ball_ranks_flag_off_sphere_residues_beyond_int64():
     part = sphere_partition(MonomialSystem(3, 2, 40), 2)  # modulus 3^42 > 2**63
-    reps = list(part.representatives)
+    reps = part.centers().tolist()
     off = [0, 1, 1 + 3**41, 1 + 2 * 3**41]  # the last two lie above 2**63
     assert max(reps) > 2**63 and min(off[2:]) > 2**63
     ranks, on_sphere = dynamics._ball_ranks(part, reps + off)
@@ -257,7 +330,7 @@ def test_measure_preservation_counting_form():
             fine = sphere_partition(sys_, k + 1)
             coarse = sphere_partition(sys_, k)
             hits = {i: 0 for i in range(coarse.ball_count)}
-            for r in fine.representatives:
+            for r in fine.centers().tolist():
                 img = pow(r, n, fine.modulus) % coarse.modulus
                 hits[coarse.index_of(img)] += 1
             assert set(hits.values()) == {p}
@@ -319,7 +392,7 @@ def test_full_cycle_average_is_exactly_haar():
         for k in (1, 2):
             part = sphere_partition(sys_, k)
             m_count = part.ball_count
-            for x0_res in part.representatives:
+            for x0_res in part.centers().tolist():
                 x0 = PadicInt(p, l + k, x0_res)
                 res = birkhoff_average(sys_, x0, BallIndicator(part.ball_center(0), l + k), m_count)
                 assert res.average == Fraction(1, m_count) == res.haar_value
@@ -396,7 +469,7 @@ def test_conjugated_invariant_ball_matches_a_scan(p, n, l):
             m = p ** (l + k)
             fixed = [
                 a.residue * c % m
-                for c in sphere_partition(sys_, k).representatives
+                for c in sphere_partition(sys_, k).centers().tolist()
                 if pow(a.residue * c, n, m) == a.residue * c % m
             ]
             if fixed:
@@ -427,7 +500,7 @@ def test_conjugated_permutations_match_the_conjugated_images(monkeypatch, p, n, 
         assert [perm.partition.depth for perm in seen] == [1, 2, 3]
         assert [d.cycle_lengths for d in depths] == [tuple(perm.cycle_lengths.tolist()) for perm in seen]
         for perm in seen:
-            reps, m = perm.partition.representatives, perm.partition.modulus
+            reps, m = perm.partition.centers().tolist(), perm.partition.modulus
             a_res = a.residue % m
             a_inv = pow(a_res, -1, m)
             rank = {c: i for i, c in enumerate(reps)}
@@ -527,7 +600,7 @@ def test_ball_cycles_beyond_int64(p, n, l, k):
     sys_ = MonomialSystem(p, n, l)
     part = sphere_partition(sys_, k)
     assert part.modulus > 2**63
-    images = kernels.power_map_any(part.representatives, n, part.modulus)
+    images = kernels.power_map_any(part.centers(), n, part.modulus)
     assert max(images) >= 2**63
     pk = p**k
     o = n_order(n, pk)
@@ -701,7 +774,7 @@ def test_sphere_flags_match_a_per_residue_scan(monkeypatch, p, n, l, k_max, coll
     expected_flags, expected_counts = [], []
     for k in range(1, k_max + 1):
         part = sphere_partition(sys_, k)
-        images = [psys.apply(r, part.modulus) for r in part.representatives]
+        images = [psys.apply(r, part.modulus) for r in part.centers().tolist()]
         off = _off_sphere_scan(images, p, l, part.modulus)
         expected_flags.append((k, not any(off)))
         expected_counts.append(sum(off))
