@@ -22,12 +22,12 @@ from .dynamics import (
     MonomialSystem,
     PerturbedSystem,
     Polynomial,
+    _depth_centers,
     haar_ball_measure,
     minimality_verdict,
     observe_marginal_perturbation,
     orbit_residues,
     perturbed_analysis,
-    sphere_partition,
 )
 from .padic import PadicInt
 from .errors import DomainError, IntegrityError, ResourceError
@@ -261,18 +261,19 @@ def _cmd_orbit(args) -> int:
     precision = args.l + args.depth + 2 if args.precision is None else args.precision
     x0 = PadicInt.from_integer(args.x0, args.p, precision)
     orbit = orbit_residues(sys_, x0, args.steps)
+    # up to the first depth finer than the precision, so a cap refusal there still comes first
+    depths = _depth_centers(sys_, min(args.depth, precision - args.l + 1))
+    if args.l + args.depth > precision:
+        raise DomainError("indicator is finer than the point's precision")
     table = []
-    for k in range(1, args.depth + 1):
-        part = sphere_partition(sys_, k)
-        centers = part.centers().tolist()
-        if args.l + k > precision:
-            raise DomainError("indicator is finer than the point's precision")
+    for part, centers in depths:
+        k = part.depth
         ranks = part.indices_of(orbit)
         if k == 1:
-            shadow = [centers[i] for i in ranks.tolist()]
+            shadow = centers[ranks].tolist()
         haar = haar_ball_measure(sys_, k)
         visits = np.bincount(ranks, minlength=part.ball_count).tolist()
-        for center, count in zip(centers, visits):
+        for center, count in zip(centers.tolist(), visits):
             average = Fraction(count, args.steps)
             table.append(
                 {

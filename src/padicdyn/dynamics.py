@@ -8,16 +8,16 @@ rational Birkhoff averages against the ball measure, conjugation to spheres
 around other fixed points, the never-mixing product construction, and the
 behaviour of additively perturbed power maps.
 
-Residue sweeps run through the numpy int64 kernels when the modulus permits
-and fall back to Python big ints otherwise. One routine, :func:`_ball_ranks`,
-tests whether residues lie on the sphere and ranks their balls; the batch ball
-index :meth:`BallPartition.indices_of` and every checked ball permutation,
-:func:`_permutation_from_images`, are built on it. Only
-:meth:`BallPartition.centers` enumerates balls, as one array, under the ball
-cap. Permutations and a verdict's generated set stay arrays; the reported cycle
-lengths are tuples. Every verdict, around 1 or around another fixed point, is
-assembled by :func:`_verdict_from_depths` from the base power-map
-permutations, which conjugation by a fixed point keeps.
+Residue sweeps map whole arrays: x^n and psi_q = x^n + q(x) both run through
+:func:`kernels.power_map_any`, int64 where the modulus permits and an object
+array of Python big ints otherwise. :func:`_ball_ranks` tests whether residues
+lie on the sphere and ranks their balls, for :meth:`BallPartition.indices_of`
+and every checked ball permutation. Only :meth:`BallPartition.centers`
+enumerates balls, under the ball cap; :func:`_depth_centers` enumerates every
+depth of a walk before any is mapped, so a depth over the cap refuses first.
+Permutations and a verdict's generated set stay arrays. Every verdict, around
+1 or another fixed point, is assembled by :func:`_verdict_from_depths` from
+the base power-map permutations, which conjugation by a fixed point keeps.
 """
 
 from __future__ import annotations
@@ -142,6 +142,13 @@ def sphere_partition(sys: MonomialSystem, depth: int) -> BallPartition:
     """The depth-k partition of the system's sphere; depth must be at least 1.
     Nothing is enumerated here: see :meth:`BallPartition.centers`."""
     return BallPartition(sys.p, sys.l, depth)
+
+
+def _depth_centers(sys: MonomialSystem, k_max: int) -> list[tuple[BallPartition, np.ndarray]]:
+    """(partition, centres) at depths 1..k_max, all enumerated before the caller
+    maps any, so that the first partition over the cap refuses before any work."""
+    partitions = [sphere_partition(sys, k) for k in range(1, k_max + 1)]
+    return [(part, part.centers()) for part in partitions]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -413,6 +420,8 @@ def birkhoff_average(sys: MonomialSystem, x0: PadicInt, f: TestFunction, steps: 
     average it should converge to."""
     if isinstance(f, BallIndicator) and f.radius_exp > x0.precision:
         raise DomainError("indicator is finer than the point's precision")
+    if isinstance(f, DigitValue) and f.position >= x0.precision:
+        raise DomainError("digit lies beyond the point's precision")
     orbit = orbit_residues(sys, x0, steps)
     total = sum(f.evaluate(r, sys.p) for r in orbit)
     return BirkhoffResult(Fraction(total, steps), haar_integral(f, sys), steps)
@@ -550,16 +559,24 @@ class Polynomial:
     def from_integers(cls, coeffs: list[int], p: int, precision: int) -> "Polynomial":
         return cls(tuple(PadicInt.from_integer(c, p, precision) for c in coeffs))
 
-    def evaluate_residue(self, r: int, modulus: int) -> int:
-        """Horner evaluation mod ``modulus``; coefficients must carry enough digits."""
-        acc = 0
+    def evaluate_residue(self, residues, modulus: int) -> np.ndarray:
+        """Horner evaluation over an array of residues mod ``modulus``, in the dtype
+        of :func:`kernels.power_map_any`; coefficients must carry enough digits."""
+        x = kernels.power_map_any(residues, 1, modulus)  # the residues reduced, in that dtype
+        acc = np.zeros_like(x)
         for c in reversed(self.coefficients):
             if modulus > c.modulus:
                 raise DomainError(
                     f"coefficient precision {c.precision} too coarse for modulus {modulus}"
                 )
-            acc = (acc * r + c.residue) % modulus
+            acc = (acc * x + c.residue % modulus) % modulus
         return acc
+
+
+def _psi(n: int, q: Polynomial, residues, modulus: int) -> np.ndarray:
+    """x^n + q(x) mod ``modulus`` over an array of residues: the one psi_q."""
+    image = kernels.power_map_any(residues, n, modulus)
+    return (image + q.evaluate_residue(residues, modulus)) % modulus
 
 
 @dataclass(frozen=True, slots=True)
@@ -585,8 +602,8 @@ class PerturbedSystem:
                     f"below the required {need}"
                 )
 
-    def apply(self, r: int, modulus: int) -> int:
-        return (pow(r, self.base.n, modulus) + self.q.evaluate_residue(r, modulus)) % modulus
+    def apply(self, residues, modulus: int) -> np.ndarray:
+        return _psi(self.base.n, self.q, residues, modulus)
 
 
 @dataclass(frozen=True, slots=True)
@@ -632,35 +649,31 @@ def perturbed_analysis(psys: PerturbedSystem, k_max: int = 3, n_max: int = 6) ->
     if k_max < 2:
         raise DomainError("k_max must be at least 2 to reach the depth-2 balls")
 
+    depths = _depth_centers(sys, k_max)
+    part2, reps2 = depths[1]
+    mod2 = part2.modulus
     # Pointwise re-verification of the vanishing condition on the sphere.
-    mod2 = p ** (l + 2)
-    part2 = sphere_partition(sys, 2)
-    reps2 = part2.centers().tolist()
-    pointwise_ok = all(psys.q.evaluate_residue(r, mod2) == 0 for r in reps2)
+    pointwise_ok = not psys.q.evaluate_residue(reps2, mod2).any()
 
     invariance = []
-    for k in range(1, k_max + 1):
-        part = sphere_partition(sys, k)
-        ranked = _ball_ranks(part, [psys.apply(r, part.modulus) for r in part.centers().tolist()])
-        if k == 2:
+    for part, centers in depths:
+        ranked = _ball_ranks(part, psys.apply(centers, part.modulus))
+        if part.depth == 2:
             ranked2 = ranked
-        invariance.append((k, bool(ranked[1].all())))
+        invariance.append((part.depth, bool(ranked[1].all())))
 
-    mismatches: list[CongruenceMismatch] = []
-    mismatch_count = 0
-    checked = 0
-    for r in reps2:
-        a = (r // p**l) % p
-        b = (r // p ** (l + 1)) % p
-        y = r
-        for step in range(1, n_max + 1):
-            y = psys.apply(y, mod2)
-            predicted = (1 + pow(n, step, mod2) * (a + b * p) * p**l) % mod2
-            checked += 1
-            if y != predicted:
-                mismatch_count += 1
-                if len(mismatches) < _MISMATCH_LIMIT:
-                    mismatches.append(CongruenceMismatch(r, step, y, predicted))
+    # N steps multiply t = a + b*p, the leading two sphere digits of a start
+    # r = 1 + t*p^l, by n^N mod p^2.
+    t = (reps2 - 1) // p**l
+    found = []  # (start index, step, observed, predicted), up to _MISMATCH_LIMIT per step
+    y, mismatch_count = reps2, 0
+    for step in range(1, n_max + 1):
+        y = psys.apply(y, mod2)
+        predicted = 1 + pow(n, step, p * p) * t % (p * p) * p**l
+        miss = np.flatnonzero(y != predicted)
+        mismatch_count += miss.size
+        found += [(i, step, int(y[i]), int(predicted[i])) for i in miss[:_MISMATCH_LIMIT]]
+    mismatches = [CongruenceMismatch(int(reps2[i]), *r) for i, *r in sorted(found)[:_MISMATCH_LIMIT]]
 
     # Necessary condition: the depth-2 ball action must be transitive exactly
     # when n generates the units mod p^2. Since q vanishes mod p^(l+2), this
@@ -671,7 +684,7 @@ def perturbed_analysis(psys: PerturbedSystem, k_max: int = 3, n_max: int = 6) ->
         tuple(invariance),
         pointwise_ok,
         l >= 2,
-        checked,
+        reps2.size * max(n_max, 0),
         tuple(mismatches),
         mismatch_count,
         part2.ball_count,
@@ -684,9 +697,7 @@ def perturbed_ball_map(psys: PerturbedSystem, depth: int) -> PermutationAction:
     """The permutation psi_q induces on depth-k balls (equals the unperturbed
     one whenever depth <= 2, and for any depth when q = 0)."""
     partition = sphere_partition(psys.base, depth)
-    m = partition.modulus
-    images = [psys.apply(r, m) for r in partition.centers().tolist()]
-    return _permutation_from_images(partition, images)
+    return _permutation_from_images(partition, psys.apply(partition.centers(), partition.modulus))
 
 
 def observe_marginal_perturbation(
@@ -713,9 +724,6 @@ def observe_marginal_perturbation(
                 f"coefficient {i} has valuation {c.valuation()}, below the marginal level {need}"
             )
 
-    def apply(r: int, modulus: int) -> int:
-        return (pow(r, n, modulus) + poly.evaluate_residue(r, modulus)) % modulus
-
     observations: dict = {
         "p": p,
         "n": n,
@@ -724,13 +732,11 @@ def observe_marginal_perturbation(
         "note": "observational sweep only; no ergodicity verdict is implied",
     }
     per_depth = []
-    for k in range(1, k_max + 1):
-        partition = sphere_partition(sys, k)
-        images = [apply(r, partition.modulus) for r in partition.centers().tolist()]
-        ranks, on_sphere = _ball_ranks(partition, images)
+    for partition, centers in _depth_centers(sys, k_max):
+        ranks, on_sphere = _ball_ranks(partition, _psi(n, poly, centers, partition.modulus))
         off_sphere = int((~on_sphere).sum())
         entry = {
-            "depth": k,
+            "depth": partition.depth,
             "ball_count": partition.ball_count,
             "images_off_sphere": off_sphere,
         }

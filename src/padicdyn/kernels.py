@@ -10,8 +10,8 @@ O(n log n), with no per-element Python loop. On a random permutation its
 working memory peaks at about 17 bytes per element.
 
 :func:`power_map` guards ``modulus <= INT64_SAFE_MODULUS`` so products cannot
-overflow; :func:`power_map_any` routes larger moduli through ordinary Python
-big-int arithmetic.
+overflow; :func:`power_map_any` returns an ndarray at any modulus, an object
+array of Python big ints above that bound, for the plain and perturbed maps.
 """
 
 from __future__ import annotations
@@ -276,9 +276,9 @@ def pair_cycle_info(lengths) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(keys, dtype=np.int64), np.asarray([mult[k] for k in keys], dtype=np.int64)
 
 
-def power_map_any(values, exponent: int, modulus: int):
-    """power_map that transparently falls back to Python big ints when the
-    modulus is too large for the int64 kernels. Returns ndarray or list."""
+def power_map_any(values, exponent: int, modulus: int) -> np.ndarray:
+    """power_map at any modulus: above INT64_SAFE_MODULUS the powers are Python
+    big ints, by ``pow``, in an object array."""
     if modulus <= INT64_SAFE_MODULUS:
         return power_map(values, exponent, modulus)
-    return [pow(int(v), exponent, modulus) for v in values]
+    return np.frompyfunc(pow, 3, 1)(np.asarray(values, dtype=object), exponent, modulus)

@@ -99,9 +99,16 @@ _BILLION_BALLS = [
     + [(_ORBIT, 1062882), (_PERTURB, 1062882), (_PERTURB + ["--marginal"], 1062882)],
 )
 def test_every_ball_walk_refuses_partitions_beyond_the_cap(capsys, argv, balls):
-    # At p = 3, depth 13 is the first with more than 10^6 balls.
+    # At p = 3, depth 13 is the first with more than 10^6 balls. Every depth is
+    # enumerated before any is mapped, so the refusal comes before the work.
     err = f"padicdyn {argv[0]}: partition of {balls} balls exceeds cap 1000000\n"
-    assert run_cli(capsys, *argv) == (2, "", err)
+    tracemalloc.start()
+    try:
+        assert run_cli(capsys, *argv) == (2, "", err)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("argv", _BILLION_BALLS)

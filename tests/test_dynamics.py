@@ -406,6 +406,16 @@ def test_digit_average_over_full_cycle():
     assert res.average == Fraction(3, 2) == res.haar_value
 
 
+def test_digit_beyond_the_precision_is_rejected():
+    # digit 7 of a residue mod 5^4 always reads 0, against a haar value of 2
+    sys_ = MonomialSystem(5, 2, 1)
+    x0 = PadicInt.from_integer(6, 5, 4)
+    for position in (4, 7):
+        with pytest.raises(DomainError):
+            birkhoff_average(sys_, x0, DigitValue(position), 10)
+    assert birkhoff_average(sys_, x0, DigitValue(3), 10).haar_value == 2
+
+
 def test_orbit_validation():
     sys_ = MonomialSystem(3, 2, 1)
     with pytest.raises(DomainError):
@@ -548,7 +558,7 @@ def test_ball_cycles_follow_the_order_of_n(case):
     expected = (o,) * ((pk - pk // sys_.p) // o)
     assert tuple(induced_permutation(sys_, k).cycle_lengths.tolist()) == expected
     with pytest.MonkeyPatch.context() as mp:
-        # power_map_any returns Python ints; they are small, so they rank as int64
+        # power_map_any returns an object array; its ints are small, so they rank as int64
         mp.setattr(kernels, "INT64_SAFE_MODULUS", 1)
         assert tuple(induced_permutation(sys_, k).cycle_lengths.tolist()) == expected
     depth = max(k, 2)
@@ -753,10 +763,11 @@ def _collapse_some_balls(p, n, l):
     is 1 to the centre 1, off the sphere, except mod p^(l+2), where it
     vanishes as an admissible q must."""
 
-    def evaluate(self, r, modulus):
-        if modulus == p ** (l + 2) or (r // p**l) % p != 1:
-            return 0
-        return (1 - pow(r, n, modulus)) % modulus
+    def evaluate(self, residues, modulus):
+        r = np.asarray(residues, dtype=np.int64)
+        if modulus == p ** (l + 2):
+            return np.zeros_like(r)
+        return np.where((r // p**l) % p == 1, (1 - kernels.power_map(r, n, modulus)) % modulus, 0)
 
     return evaluate
 
@@ -774,7 +785,7 @@ def test_sphere_flags_match_a_per_residue_scan(monkeypatch, p, n, l, k_max, coll
     expected_flags, expected_counts = [], []
     for k in range(1, k_max + 1):
         part = sphere_partition(sys_, k)
-        images = [psys.apply(r, part.modulus) for r in part.centers().tolist()]
+        images = psys.apply(part.centers(), part.modulus).tolist()
         off = _off_sphere_scan(images, p, l, part.modulus)
         expected_flags.append((k, not any(off)))
         expected_counts.append(sum(off))
@@ -791,13 +802,91 @@ def test_marginal_observation_reports_a_collapsed_ball_map(monkeypatch):
     monkeypatch.setattr(
         Polynomial,
         "evaluate_residue",
-        lambda self, r, modulus: (1 + p**l - pow(r, 2, modulus)) % modulus,
+        lambda self, r, modulus: (1 + p**l - kernels.power_map_any(r, 2, modulus)) % modulus,
     )
     obs = observe_marginal_perturbation(p, 2, l, [9], 3)
     for e in obs["per_depth"]:
         assert e["images_off_sphere"] == 0
         assert e["ball_map_bijective"] is False
         assert "cycle_lengths" not in e
+
+
+def _psi_reference(n, coeffs, r, modulus):
+    """x^n + q(x) for one residue, from pow and Horner on Python ints."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * r + c) % modulus
+    return (pow(r, n, modulus) + acc) % modulus
+
+
+def _rank_reference(r, p, l, k):
+    """The rank of r's depth-k ball, or None when r is off the sphere."""
+    t, rem = divmod((r - 1) % p ** (l + k), p**l)
+    return None if rem or t % p == 0 else t - 1 - (t - 1) // p
+
+
+def _cycle_lengths_reference(mapping):
+    seen, lengths = set(), []
+    for i in range(len(mapping)):
+        j, length = i, 0
+        while j not in seen:
+            seen.add(j)
+            j, length = mapping[j], length + 1
+        if length:
+            lengths.append(length)
+    return sorted(lengths)
+
+
+@pytest.mark.parametrize(
+    "p,n,l,coeffs,precision",
+    [
+        (3, 2, 20, [3**22, 0, -(3**23)], 26),  # 3^22..3^24 lie above INT64_SAFE_MODULUS
+        (3, 2, 40, [3**42, -(3**43)], 46),  # 3^42 lies above 2**63
+        (3, 2, 1, [-27, 54], 60),  # -27 held mod 3^60 is far beyond int64
+    ],
+)
+def test_perturbed_maps_match_a_per_residue_reference_beyond_int64(p, n, l, coeffs, precision):
+    k_max, n_max = 3, 6
+    psys = PerturbedSystem(MonomialSystem(p, n, l), Polynomial.from_integers(coeffs, p, precision))
+    ranks = {}
+    for k in range(1, k_max + 1):
+        centers = [1 + t * p**l for t in range(1, p**k) if t % p]
+        images = [_psi_reference(n, coeffs, c, p ** (l + k)) for c in centers]
+        ranks[k] = [_rank_reference(y, p, l, k) for y in images]
+        assert perturbed_ball_map(psys, k).mapping.tolist() == ranks[k]
+    mod2 = p ** (l + 2)
+    mismatches = []
+    for r in (1 + t * p**l for t in range(1, p * p) if t % p):
+        a, b = (r // p**l) % p, (r // p ** (l + 1)) % p
+        y = r
+        for step in range(1, n_max + 1):
+            y = _psi_reference(n, coeffs, y, mod2)
+            predicted = (1 + pow(n, step, mod2) * (a + b * p) * p**l) % mod2
+            if y != predicted:
+                mismatches.append((r, step, y, predicted))
+    rep = perturbed_analysis(psys, k_max, n_max)
+    assert rep.invariance_by_depth == tuple((k, None not in ranks[k]) for k in ranks)
+    assert rep.pointwise_vanishing_ok
+    assert rep.congruence_checked == len(ranks[2]) * n_max
+    assert rep.congruence_mismatch_count == len(mismatches)
+    assert [
+        (mm.start_residue, mm.step, mm.observed, mm.predicted) for mm in rep.congruence_mismatches
+    ] == mismatches[:20]
+    assert rep.depth2_transitive == (_cycle_lengths_reference(ranks[2]) == [len(ranks[2])])
+
+    marginal = [c // p for c in coeffs]  # one digit shallower: valuation l + 1
+    obs = observe_marginal_perturbation(p, n, l, marginal, k_max)
+    for entry in obs["per_depth"]:
+        k = entry["depth"]
+        centers = [1 + t * p**l for t in range(1, p**k) if t % p]
+        expected = [
+            _rank_reference(_psi_reference(n, marginal, c, p ** (l + k)), p, l, k) for c in centers
+        ]
+        assert entry["images_off_sphere"] == expected.count(None)
+        if None not in expected:
+            assert entry["ball_map_bijective"] == (sorted(expected) == list(range(len(expected))))
+            if entry["ball_map_bijective"]:
+                assert entry["cycle_lengths"] == _cycle_lengths_reference(expected)
 
 
 def test_marginal_observation_mode():

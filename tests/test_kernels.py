@@ -74,8 +74,8 @@ def test_power_map_any_big_modulus_python_path():
     m = 5**30  # far beyond int64
     values = [1 + 5 * t for t in range(1, 12)]
     out = kernels.power_map_any(values, 3, m)
-    assert isinstance(out, list)
-    assert out == [pow(v, 3, m) for v in values]
+    assert isinstance(out, np.ndarray) and out.dtype == object
+    assert out.tolist() == [pow(v, 3, m) for v in values]
 
 
 def test_cycle_info_canonical_order():
