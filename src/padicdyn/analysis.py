@@ -135,7 +135,7 @@ def teichmuller(x: PadicInt) -> PadicInt:
     """The unique (p-1)-th root of unity congruent to x mod p, for odd p.
 
     Obtained by the p-th power stabilization x -> x^p, which converges one
-    digit per step; the fixed point is checked before returning.
+    digit per step: K steps give x^(p^K), checked to be a fixed point.
     """
     p, K = x.prime, x.precision
     if p == 2:
@@ -143,9 +143,7 @@ def teichmuller(x: PadicInt) -> PadicInt:
     if not x.is_unit():
         raise DomainError("Teichmuller representative exists only for units")
     m = x.modulus
-    y = x.residue
-    for _ in range(K):
-        y = pow(y, p, m)
+    y = pow(x.residue, p**K, m)
     if pow(y, p, m) != y:
         raise IntegrityError("Teichmuller stabilization failed to reach a fixed point")
     return PadicInt(p, K, y)

@@ -315,6 +315,10 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_verify(args) -> int:
     claim = "power-scaling" if args.claim == "lemma1" else args.claim
+    if not args.p:
+        raise DomainError("need at least one prime")
+    if claim == "unique" and not args.l:
+        raise DomainError("need at least one sphere level")
     certs = []
     if claim == "power-scaling":
         for p in args.p:

@@ -17,7 +17,8 @@ enumerates balls, under the ball cap; :func:`_depth_centers` enumerates every
 depth of a walk before any is mapped, so a depth over the cap refuses first.
 Permutations and a verdict's generated set stay arrays. Every verdict, around
 1 or another fixed point, is assembled by :func:`_verdict_from_depths` from
-the base power-map permutations, which conjugation by a fixed point keeps.
+the order of n mod p^k, the cycle type of the base ball permutations that
+conjugation keeps; a bounded enumeration or a sample of centres checks it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import kernels
 from .analysis import padic_log, roots_of_unity
 from .errors import DomainError, IntegrityError, ResourceError
-from .padic import PadicInt, int_valuation, is_prime
+from .padic import PadicInt, factorize, int_valuation, is_prime
 from .unitgroups import (
     UnitGroupReport,
     generated_set,
@@ -42,6 +43,8 @@ from .unitgroups import (
 )
 
 DEFAULT_BALL_CAP = 10**6
+_ENUMERATED_BALLS = 1 << 16  # verdict depths up to this size are enumerated
+_SAMPLED_CENTERS = 64  # return times checked per larger verdict depth
 _LOG_POINT_CAP = 144  # sphere points whose log ratios product_nonmixing_report checks
 _MISMATCH_LIMIT = 20  # congruence mismatches perturbed_analysis keeps as examples
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -267,38 +270,57 @@ class Verdict:
 
 
 def _verdict_from_depths(sys: MonomialSystem, k_max: int, a: int = 1) -> Verdict:
-    """Cross-check the ball permutations at depths 1..k_max against the
-    generator test mod p^2 and assemble the verdict.
+    """The verdict from the order of n, cross-checked at depths 1..k_max.
 
-    The permutations act on the balls a*c of the sphere around the fixed point
-    a, written in the standard coordinates c, where the ball map is the base
-    one (see :func:`conjugated_verdict`); the invariant ball, reported at the
-    first depth that has one, is centred at the least a*c mod p^(l+k) over
-    the fixed balls.
+    log conjugates x -> x^n on the sphere to u -> n*u on the units mod p^k,
+    so the M depth-k balls form M/o cycles of length o = ord_{p^k}(n). Up to
+    _ENUMERATED_BALLS balls the induced permutation must show that; beyond,
+    _SAMPLED_CENTERS centres must return after exactly o steps. The balls
+    are a*c around the fixed point a, in the standard coordinates c (see
+    :func:`conjugated_verdict`). o_1 divides every o_k, so a ball is
+    invariant exactly when o_1 = 1; the least a*c mod p^(l+1) is reported.
     """
-    depth_perms = [induced_permutation(sys, k) for k in range(1, k_max + 1)]
+    depth_centers = _depth_centers(sys, k_max)
     gen_report = unit_group_report(sys.n, sys.p, 2)
     gen = gen_report.is_generator
     depths = []
     invariant_ball = None
-    for perm in depth_perms:
-        k = perm.partition.depth
-        depths.append(DepthCycles(k, perm.partition.ball_count, tuple(perm.cycle_lengths.tolist())))
-        if gen and not perm.is_transitive:
+    for part, centers in depth_centers:
+        k, count, m, step = part.depth, part.ball_count, part.modulus, sys.p**sys.l
+        order = multiplicative_order(sys.n, sys.p, k)
+        lengths = (order,) * (count // order)
+        if k == 1 and order == 1:
+            # the least a*c mod p^(l+1): a's digits below l, then the least digit but a's digit l
+            invariant_ball = (1, a % step + (0 if a // step % sys.p else 1) * step)
+        if count <= _ENUMERATED_BALLS:
+            perm = induced_permutation(sys, k)
+            agrees = tuple(perm.cycle_lengths.tolist()) == lengths
+            if invariant_ball and k == 1:
+                fixed = (a * part.ball_center(i) % m for i in perm.fixed_indices())
+                agrees &= invariant_ball[1] == min(fixed, default=None)
+        else:
+            # c is back after N steps when c^(n^N) = c mod p^(l+k): after o steps, and
+            # after o/q for no prime q | o. Euler's theorem reduces n^N mod
+            # phi(p^(l+k)) = m - m/p; mod p^k would assume the cycle type under check.
+            sample = centers[np.arange(_SAMPLED_CENTERS) * count // _SAMPLED_CENTERS]
+            back = [
+                kernels.power_map_any(sample, pow(sys.n, order // q, m - m // sys.p), m) == sample
+                for q in (1, *factorize(order))
+            ]
+            agrees = back[0].all() and not any(b.any() for b in back[1:])
+        if not agrees:
+            raise IntegrityError(f"depth-{k} balls disagree with the order {order} of n mod p^{k}")
+        depths.append(DepthCycles(k, count, lengths))
+        if gen and order != count:
             raise IntegrityError(
                 f"generator at ({sys.p}, {sys.n}) but depth {k} is not transitive"
             )
         # Depth 1 only sees the generated set mod p, so a non-generator may
         # still be transitive there; levels >= 2 decide the criterion.
-        if not gen and k >= 2 and perm.is_transitive:
+        if not gen and k >= 2 and order == count:
             raise IntegrityError(
                 f"non-generator at ({sys.p}, {sys.n}) but depth {k} is transitive"
             )
-        if invariant_ball is None and not perm.is_transitive:
-            fixed = perm.fixed_indices()
-            if fixed:
-                m = perm.partition.modulus
-                invariant_ball = (k, min(a * perm.partition.ball_center(i) % m for i in fixed))
     generated = np.sort(generated_set(sys.n, sys.p**2))
     evidence = VerdictEvidence(gen_report, generated, tuple(depths), invariant_ball)
     return Verdict(gen, gen, gen, evidence)
@@ -307,9 +329,9 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, a: int = 1) -> Verdict
 def minimality_verdict(sys: MonomialSystem, k_max: int = 4) -> Verdict:
     """Decide minimality two independent ways and cross-check them.
 
-    The generator test mod p^2 gives the criterion; transitivity of the
-    induced permutation at every depth k <= k_max re-derives it from the
-    orbit structure. Disagreement raises IntegrityError.
+    The generator test mod p^2 gives the criterion; transitivity of the ball
+    cycles that the order of n fixes at every depth k <= k_max re-derives it,
+    checked on the ball permutations. Disagreement raises IntegrityError.
     """
     if k_max < 2:
         raise DomainError("k_max must be at least 2; depth 1 alone cannot decide")

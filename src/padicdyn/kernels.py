@@ -2,12 +2,9 @@
 cycle scans, and valuation tables, all numpy over int64, plus the cycle
 structure of a product permutation from its factor's cycle lengths.
 
-:func:`cycle_info` labels every index with the least index of its cycle and
-rejects non-permutations. Small inputs are pointer jumped; larger ones are
-first contracted through a sparse ruling set (list ranking after Reid-Miller
-and Helman-JaJa), so that the scan costs O(n) element gathers instead of
-O(n log n), with no per-element Python loop. On a random permutation its
-working memory peaks at about 17 bytes per element.
+:func:`cycle_info` labels every index with the least index of its cycle by
+pointer jumping, and rejects non-permutations. Verdicts scan only up to 2^16
+balls, to check the cycles the order of n gives; other ball maps scan whole.
 
 :func:`power_map` guards ``modulus <= INT64_SAFE_MODULUS`` so products cannot
 overflow; :func:`power_map_any` returns an ndarray at any modulus, an object
@@ -51,27 +48,6 @@ def power_map(values, exponent: int, modulus: int) -> np.ndarray:
     return result
 
 
-# Inputs up to this size go straight to pointer jumping: below it the walk's
-# per-step overhead costs more than the log2(n) gathers it saves.
-_BASE_SIZE = 1 << 16
-# An index is a ruler when the top _RULER_BITS bits of its Fibonacci hash are
-# zero, about one index in 2**_RULER_BITS.
-_RULER_BITS = 5
-_RULER_HASH = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
-# Steps a walk may take before cycle_info gives it up for pointer jumping.
-# A gap between consecutive rulers on a cycle exceeds it with probability
-# (1 - 2**-_RULER_BITS)**_STEP_LIMIT, about e^-32.
-_STEP_LIMIT = 1 << 10
-
-
-def _ruler_mask(index: np.ndarray) -> np.ndarray:
-    """Which of these indices are rulers: a fixed multiplicative hash, no RNG."""
-    h = index.astype(np.uint64)
-    h *= _RULER_HASH
-    h >>= np.uint64(64 - _RULER_BITS)
-    return h == 0
-
-
 def _min_labels(succ: np.ndarray, label: np.ndarray) -> np.ndarray:
     """Overwrite ``label`` with the least label over each cycle of the permutation ``succ``.
 
@@ -99,114 +75,11 @@ def _min_labels(succ: np.ndarray, label: np.ndarray) -> np.ndarray:
     return label
 
 
-def _walk(perm: np.ndarray, rulers: np.ndarray, owner: np.ndarray):
-    """Walk from every ruler along perm to the next ruler on its cycle.
-
-    Every node passed on the way is tagged in ``owner``, which holds -1
-    everywhere on entry, with the position of its walker's ruler in
-    ``rulers`` (the rulers themselves are tagged first).
-    Returns, per ruler, the position of the next ruler and the least index
-    of the segment from the ruler up to it; or None when a walk is still
-    live after _STEP_LIMIT steps.
-
-    A walker that reaches the next ruler parks on its last node: each step
-    it rereads the same ruler and retags that node with its own ruler, so it
-    needs no bookkeeping until a quarter of the slots are parked. Then the
-    parked walkers are recorded and the live ones packed, in order, into the
-    spare buffers. Every step writes only into buffers made before the first
-    one: small temporaries made per step fragmented the malloc heap and
-    raised the peak RSS of long verdict runs by 6-16%.
-    """
-    r = rulers.size
-    owner[rulers] = np.arange(r)
-    # Slot r of these buffers takes the writes that go nowhere.
-    succ, seg_min, slot = np.empty((3, r + 1), dtype=np.int64)
-    pos, wid, low, spare_pos, spare_wid, spare_low = np.empty((6, r + 1), dtype=np.int64)
-    nxt, hit = np.empty((2, r), dtype=np.int64)
-    move, halt = np.empty((2, r), dtype=bool)
-    pos[:r], wid[:r], low[:r] = rulers, np.arange(r), rulers
-    w = r  # slots in use, live or parked
-    for _ in range(_STEP_LIMIT):
-        perm.take(pos[:w], out=nxt[:w], mode="clip")
-        owner.take(nxt[:w], out=hit[:w], mode="clip")
-        np.less(hit[:w], 0, out=move[:w])  # only rulers are tagged ahead of a walker
-        live = np.count_nonzero(move[:w])
-        np.copyto(pos[:w], nxt[:w], where=move[:w])
-        if not live or 4 * live < 3 * w:
-            # Record the parked walkers.
-            np.copyto(slot[:w], wid[:w])
-            np.copyto(slot[:w], r, where=move[:w])
-            succ.put(slot[:w], hit[:w], mode="clip")
-            seg_min.put(slot[:w], low[:w], mode="clip")
-            # Pack the live ones into the spare buffers.
-            np.cumsum(move[:w], out=slot[:w])
-            slot[:w] -= 1
-            np.logical_not(move[:w], out=halt[:w])
-            np.copyto(slot[:w], r, where=halt[:w])
-            spare_pos.put(slot[:w], pos[:w], mode="clip")
-            spare_wid.put(slot[:w], wid[:w], mode="clip")
-            spare_low.put(slot[:w], low[:w], mode="clip")
-            pos, spare_pos, wid, spare_wid, low, spare_low = spare_pos, pos, spare_wid, wid, spare_low, low
-            w = live
-            if not w:
-                return succ[:r], seg_min[:r]
-        owner[pos[:w]] = wid[:w]
-        np.minimum(low[:w], pos[:w], out=low[:w])
-    return None
-
-
-def _ruled_labels(perm: np.ndarray) -> np.ndarray:
-    """The least index on each cycle of perm, at every index, by the ruler contraction.
-
-    Each n-element temporary is deleted as soon as it is spent, which keeps
-    the peak near two such arrays (``owner`` and the labels).
-    """
-    n = perm.size
-    rulers = np.flatnonzero(_ruler_mask(np.arange(n, dtype=np.int64)))
-    rulers = rulers[perm[rulers] != rulers]
-    owner = np.full(n, -1, dtype=np.int64)
-    walked = _walk(perm, rulers, owner)
-    if walked is None:
-        del owner
-        return _min_labels(perm, np.arange(n, dtype=np.int64))
-    untagged = np.flatnonzero(owner < 0)  # fixed points and cycles without a ruler
-    if rulers.size:
-        label = np.take(_min_labels(*walked), owner, mode="clip")
-    else:
-        label = np.empty(n, dtype=np.int64)
-    del owner
-    label[untagged] = untagged
-    rulerless = untagged[np.take(perm, untagged) != untagged]
-    del untagged
-    if rulerless.size:
-        # Number the rulerless nodes 0..m-1 in their own label slots; ascending,
-        # so the least number on a cycle marks its least index.
-        local = np.arange(rulerless.size, dtype=np.int64)
-        label[rulerless] = local
-        succ = np.take(label, np.take(perm, rulerless))
-        label[rulerless] = np.take(rulerless, _min_labels(succ, local))
-    return label
-
-
 def cycle_info(perm) -> tuple[np.ndarray, np.ndarray]:
     """Cycle starts (least index per cycle, ascending) and lengths of a permutation array.
 
-    Every index is labelled with the least index of its cycle, and the label
-    counts give the starts and lengths. Inputs of up to _BASE_SIZE elements
-    are labelled by pointer jumping (:func:`_min_labels`). Larger ones are
-    contracted through a sparse ruling set: about one index in 32, picked
-    by a fixed hash, is a ruler; fixed points are never rulers and never
-    walked. Walkers step from all rulers together, one gather of perm per
-    step, tagging each node with its ruler, until they reach the next ruler.
-    The rulers, each sent to the next ruler on its cycle and labelled with
-    its segment's least index, form a permutation of about n/32 nodes, which
-    :func:`_min_labels` solves; one gather spreads its labels back to the
-    tagged nodes. Cycles without a ruler form a closed subset that
-    :func:`_min_labels` solves on its own. That is O(n) element gathers plus
-    O((n/32) log n) for the contraction. When a gap between rulers exceeds
-    _STEP_LIMIT steps, the walk is dropped and the whole input is pointer
-    jumped instead, which bounds the worst case by the pointer-jumping cost
-    plus that many steps.
+    Pointer jumping (:func:`_min_labels`) labels every index with the least
+    index of its cycle, and the label counts give the starts and lengths.
 
     The input is only read. A non-permutation raises ValueError: on a
     functional graph the labels would silently merge a tail into the cycle
@@ -216,10 +89,7 @@ def cycle_info(perm) -> tuple[np.ndarray, np.ndarray]:
     n = perm.size
     if n and (perm.min() < 0 or perm.max() >= n or (np.bincount(perm, minlength=n) != 1).any()):
         raise ValueError("not a permutation array: an entry is out of range or repeated")
-    if n <= _BASE_SIZE:
-        label = _min_labels(perm, np.arange(n, dtype=np.int64))
-    else:
-        label = _ruled_labels(perm)
+    label = _min_labels(perm, np.arange(n, dtype=np.int64))
     counts = np.bincount(label, minlength=n)  # nonzero exactly at the cycle starts
     starts = np.flatnonzero(counts)
     return starts, counts[starts]

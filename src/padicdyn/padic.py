@@ -245,18 +245,10 @@ class PadicInt:
         return PadicInt(self.prime, self.precision, -self.residue)
 
     def pow_nat(self, e: int) -> "PadicInt":
-        """x^e for a natural exponent, by square-and-multiply mod p^K."""
+        """x^e for a natural exponent, mod p^K."""
         if e < 0:
             raise DomainError("pow_nat takes a non-negative exponent")
-        m = self.modulus
-        result = 1
-        base = self.residue
-        while e:
-            if e & 1:
-                result = (result * base) % m
-            base = (base * base) % m
-            e >>= 1
-        return PadicInt(self.prime, self.precision, result)
+        return PadicInt(self.prime, self.precision, pow(self.residue, e, self.modulus))
 
     def is_unit(self) -> bool:
         return self.residue % self.prime != 0

@@ -84,6 +84,7 @@ def test_huge_primes_exit_two_at_once(capsys, argv, err):
 
 
 
+_ANALYZE = ["analyze", "--p", "3", "--n", "2", "--l", "1", "--depth", "14"]
 _ORBIT = ["orbit", "--p", "3", "--n", "2", "--l", "1", "--x0", "4", "--steps", "5", "--depth", "14"]
 _PERTURB = ["perturb", "--p", "3", "--n", "2", "--l", "1", "--q", "27", "--depth", "14"]
 _BILLION_BALLS = [
@@ -96,7 +97,8 @@ _BILLION_BALLS = [
 @pytest.mark.parametrize(
     "argv, balls",
     [(argv, 1000000006) for argv in _BILLION_BALLS]
-    + [(_ORBIT, 1062882), (_PERTURB, 1062882), (_PERTURB + ["--marginal"], 1062882)],
+    + [(_ORBIT, 1062882), (_PERTURB, 1062882), (_PERTURB + ["--marginal"], 1062882)]
+    + [(_ANALYZE, 1062882)],
 )
 def test_every_ball_walk_refuses_partitions_beyond_the_cap(capsys, argv, balls):
     # At p = 3, depth 13 is the first with more than 10^6 balls. Every depth is
@@ -108,7 +110,7 @@ def test_every_ball_walk_refuses_partitions_beyond_the_cap(capsys, argv, balls):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("argv", _BILLION_BALLS)
@@ -314,6 +316,20 @@ def test_verify_unique_rejects_negative_exponents(capsys, n):
 def test_verify_rejects_sphere_levels_below_one(capsys, claim, levels):
     code, out, err = run_cli(capsys, "verify", *claim, "--p", "3", "--l", levels)
     assert (code, out, err) == (2, "", "padicdyn verify: sphere level must be at least 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["minimal", "--p", ""], "need at least one prime"),
+        (["power-scaling", "--p", ","], "need at least one prime"),
+        (["unique", "--n", "2", "--p", "5", "--l", ","], "need at least one sphere level"),
+        (["minimal", "--p", "3", "--l", ""], "need at least one sphere level"),
+    ],
+)
+def test_verify_with_nothing_to_check_exits_two(capsys, argv, err):
+    # With no certificate to run, "all claims PASS" would vouch for nothing.
+    assert run_cli(capsys, "verify", *argv) == (2, "", f"padicdyn verify: {err}\n")
 
 
 def test_verify_log_isometry(capsys):

@@ -567,6 +567,42 @@ def test_ball_cycles_follow_the_order_of_n(case):
         assert conjugated_verdict(sys_, a, depth).evidence.depths == base
 
 
+def _evidence(sys_, depth):
+    verdicts = [minimality_verdict(sys_, depth)]
+    verdicts += [conjugated_verdict(sys_, a, depth) for a in fixed_points(sys_, sys_.l + depth)]
+    return [(v.evidence.depths, v.evidence.invariant_ball) for v in verdicts]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_systems_and_depths())
+def test_sampled_route_matches_the_enumerated_one(case):
+    # With the enumeration bound at 0 every depth, however small, is checked
+    # by the return times of sampled centres alone: no permutation is built.
+    sys_, k = case
+    depth = max(k, 2)
+    enumerated = _evidence(sys_, depth)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_ENUMERATED_BALLS", 0)
+        mp.setattr(dynamics, "induced_permutation", None)
+        assert _evidence(sys_, depth) == enumerated
+
+
+# Depth 3 has 2,028 balls at p = 13 (enumerated) and 903,264 at p = 97 (sampled);
+# n = 2 generates mod 13^2 but not mod 97^2, and n = 5 the other way round.
+@pytest.mark.parametrize("p, n", [(13, 2), (13, 5), (97, 2), (97, 5)])
+@pytest.mark.parametrize("wrong", [lambda o: 2 * o, lambda o: o // 2, lambda o: o + 1],
+                         ids=["doubled", "halved", "plus one"])
+def test_a_wrong_order_at_one_depth_is_caught(monkeypatch, p, n, wrong):
+    real = dynamics.multiplicative_order
+
+    def mutated(n, p, k):
+        return wrong(real(n, p, k)) if k == 3 else real(n, p, k)
+
+    monkeypatch.setattr(dynamics, "multiplicative_order", mutated)
+    with pytest.raises(IntegrityError, match="disagree with the order"):
+        minimality_verdict(MonomialSystem(p, n, 1), 3)
+
+
 @st.composite
 def _systems_with_fixed_balls(draw):
     p = draw(st.sampled_from([3, 5, 7, 11, 13]))
