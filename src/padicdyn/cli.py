@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 domain violation or cap exceeded,
 3 verification failure. JSON output is deterministic: every report is an
 envelope {tool_version, command, parameters, results} with sorted keys and
-no timestamps, so identical invocations produce byte-identical bytes.
+no timestamps, so identical invocations produce byte-identical bytes. Reports
+are streamed in chunks; an int64 array stays an array until the kernel formats it.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .analysis import roots_of_unity
 from .dynamics import (
     MonomialSystem,
@@ -74,32 +76,57 @@ def _envelope(command: str, parameters: dict, results: dict) -> dict:
     }
 
 
-_SCALARS = {str, int, float, bool, type(None)}
+_SCALARS = {str, int, float, bool, type(None)}  # exact types: no subclasses
 
 
-def _dumps(obj, indent: str = "\n") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte. json encodes in
-    Python when ``indent`` is set; here each list or dict of scalars is one C call."""
-    if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return json.dumps(obj)
-    inner, is_dict = indent + "  ", isinstance(obj, dict)
-    if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:  # exact: no subclasses
-        body = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))[1:-1]
-    elif is_dict:
-        body = ("," + inner).join(json.dumps(k if isinstance(k, str) else json.dumps(k))
-                                  + ": " + _dumps(v, inner) for k, v in sorted(obj.items()))
+def _json_chunks(obj, indent: str = "\n"):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, in chunks. json
+    encodes in Python when ``indent`` is set; here each list or dict of scalars is
+    one C call, and a 1-d int64 array goes to :func:`kernels.json_int_chunks`."""
+    inner = indent + "  "
+    if isinstance(obj, np.ndarray) and not (obj.dtype == np.int64 and obj.ndim == 1 and obj.size):
+        obj = obj.tolist()
+    if isinstance(obj, np.ndarray):
+        yield "[" + inner
+        yield from kernels.json_int_chunks(obj, "," + inner)
+        yield indent + "]"
+    elif not isinstance(obj, (dict, list, tuple)) or not obj:
+        yield json.dumps(obj)
+    elif set(map(type, obj.values() if isinstance(obj, dict) else obj)) <= _SCALARS:
+        text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+        yield text[0] + inner + text[1:-1] + indent + text[-1]
+    elif isinstance(obj, dict):
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            key = json.dumps(k if isinstance(k, str) else json.dumps(k))
+            yield ("," if i else "{") + inner + key + ": "
+            yield from _json_chunks(v, inner)
+        yield indent + "}"
     else:
-        body = ("," + inner).join(_dumps(v, inner) for v in obj)
-    return ("{" if is_dict else "[") + inner + body + indent + ("}" if is_dict else "]")
+        for i, v in enumerate(obj):
+            yield ("," if i else "[") + inner
+            yield from _json_chunks(v, inner)
+        yield indent + "]"
+
+
+def _dumps(obj) -> str:
+    return "".join(_json_chunks(obj))
+
+
+def _write_json(obj, *files) -> None:
+    for chunk in chain(_json_chunks(obj), "\n"):
+        for fh in files:
+            fh.write(chunk)
 
 
 def _emit(args, envelope: dict, text_lines: list[str]) -> None:
-    payload = _dumps(envelope) if args.format == "json" or args.out else None
-    print(payload if args.format == "json" else "\n".join(text_lines))
+    if args.format == "text":
+        print("\n".join(text_lines))
+    stdout = [sys.stdout] if args.format == "json" else []
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(payload)
-            fh.write("\n")
+            _write_json(envelope, *stdout, fh)
+    elif stdout:
+        _write_json(envelope, *stdout)
 
 
 def build_parser() -> _Parser:
@@ -201,7 +228,7 @@ def _verdict_results(sys_: MonomialSystem, depth: int) -> dict:
             "element_order": gen.element_order,
             "is_generator": gen.is_generator,
         },
-        "generated_mod_p2": ev.generated_mod_p2.tolist(),
+        "generated_mod_p2": ev.generated_mod_p2,
         "depths": depths,
         "invariant_ball": invariant,
     }
@@ -214,11 +241,11 @@ def _cmd_analyze(args) -> int:
     results = _verdict_results(sys_, args.depth)
     params = {"p": args.p, "n": args.n, "l": args.l, "depth": args.depth}
     generated = results["generated_mod_p2"]
-    if len(generated) > 24:
-        shown = ", ".join(str(g) for g in generated[:12])
-        generated_text = f"[{shown}, ...] ({len(generated)} units)"
+    if generated.size > 24:
+        shown = ", ".join(map(str, generated[:12].tolist()))
+        generated_text = f"[{shown}, ...] ({generated.size} units)"
     else:
-        generated_text = str(generated)
+        generated_text = str(generated.tolist())
     lines = [
         f"system: x -> x^{args.n} on the sphere |x - 1| = {args.p}^-{args.l}",
         (
@@ -377,7 +404,10 @@ def _cmd_verify(args) -> int:
         lines.append(f"      digest: {c.digest}")
     all_pass = all(c.passed for c in certs)
     lines.append("all claims PASS" if all_pass else "verification FAILED")
-    print(_dumps(_envelope("verify", params, results)) if args.format == "json" else "\n".join(lines))
+    if args.format == "json":
+        _write_json(_envelope("verify", params, results), sys.stdout)
+    else:
+        print("\n".join(lines))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             for c in certs:

@@ -128,13 +128,14 @@ class BallPartition:
             raise DomainError(f"ball index {i} outside 0..{self.ball_count - 1}")
         return 1 + (i + 1 + i // (self.prime - 1)) * self.prime**self.level
 
-    def centers(self) -> np.ndarray:
-        """All centres, ascending: int64 if the modulus fits, else object dtype.
-        Every sphere enumeration comes here; it refuses over DEFAULT_BALL_CAP balls."""
+    def centers(self, indices=None) -> np.ndarray:
+        """The centres of the balls at ``indices``, default all in ascending order: int64
+        if the modulus fits, else object dtype. Every sphere enumeration and sample
+        comes here; it refuses partitions over DEFAULT_BALL_CAP balls."""
         count = self.ball_count
         if count > DEFAULT_BALL_CAP:
             raise ResourceError(f"partition of {count} balls exceeds cap {DEFAULT_BALL_CAP}")
-        t = np.arange(count, dtype=np.int64)
+        t = np.arange(count, dtype=np.int64) if indices is None else np.array(indices, np.int64)
         t += t // (self.prime - 1) + 1
         if self.modulus > _INT64_MAX:
             t = t.astype(object)
@@ -280,12 +281,15 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, a: int = 1) -> Verdict
     :func:`conjugated_verdict`). o_1 divides every o_k, so a ball is
     invariant exactly when o_1 = 1; the least a*c mod p^(l+1) is reported.
     """
-    depth_centers = _depth_centers(sys, k_max)
+    partitions = [sphere_partition(sys, k) for k in range(1, k_max + 1)]
+    # every depth's samples first, so that a depth over the cap refuses before any work
+    samples = [part.centers(np.arange(_SAMPLED_CENTERS) * part.ball_count // _SAMPLED_CENTERS)
+               for part in partitions]
     gen_report = unit_group_report(sys.n, sys.p, 2)
     gen = gen_report.is_generator
     depths = []
     invariant_ball = None
-    for part, centers in depth_centers:
+    for part, sample in zip(partitions, samples):
         k, count, m, step = part.depth, part.ball_count, part.modulus, sys.p**sys.l
         order = multiplicative_order(sys.n, sys.p, k)
         lengths = (order,) * (count // order)
@@ -302,7 +306,6 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, a: int = 1) -> Verdict
             # c is back after N steps when c^(n^N) = c mod p^(l+k): after o steps, and
             # after o/q for no prime q | o. Euler's theorem reduces n^N mod
             # phi(p^(l+k)) = m - m/p; mod p^k would assume the cycle type under check.
-            sample = centers[np.arange(_SAMPLED_CENTERS) * count // _SAMPLED_CENTERS]
             back = [
                 kernels.power_map_any(sample, pow(sys.n, order // q, m - m // sys.p), m) == sample
                 for q in (1, *factorize(order))

@@ -9,6 +9,7 @@ balls, to check the cycles the order of n gives; other ball maps scan whole.
 :func:`power_map` guards ``modulus <= INT64_SAFE_MODULUS`` so products cannot
 overflow; :func:`power_map_any` returns an ndarray at any modulus, an object
 array of Python big ints above that bound, for the plain and perturbed maps.
+:func:`json_int_chunks` writes int64 arrays as JSON text without Python ints.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ import numpy as np
 
 # isqrt(2^63 - 1): squares below this cannot overflow a signed 64-bit product.
 INT64_SAFE_MODULUS = 3_037_000_499
+
+_TEXT_BLOCK = 1 << 16  # values json_int_chunks formats at a time
+_DIGITS3 = np.frombuffer("".join(map("{:03d}".format, range(1000))).encode(), np.uint8)
+_DIGITS3 = _DIGITS3.reshape(1000, 3)  # row i: the digits of i, zero-padded
+_POW10 = np.array([10**k for k in range(1, 19)], dtype=np.uint64)  # 10 .. 10^18
 
 
 def get_backend() -> str:
@@ -152,3 +158,27 @@ def power_map_any(values, exponent: int, modulus: int) -> np.ndarray:
     if modulus <= INT64_SAFE_MODULUS:
         return power_map(values, exponent, modulus)
     return np.frompyfunc(pow, 3, 1)(np.asarray(values, dtype=object), exponent, modulus)
+
+
+def json_int_chunks(values: np.ndarray, separator: str):
+    """The items of ``json.dumps(values.tolist())`` joined by ``separator``, one str per
+    2^16 values of a 1-d int64 array. Each magnitude's 3-digit groups index the digit
+    table into a byte row, digits then separator, masked to the value's text."""
+    sep = np.frombuffer(separator.encode("ascii"), np.uint8)
+    for start in range(0, values.size, _TEXT_BLOCK):
+        block = values[start : start + _TEXT_BLOCK]
+        n, neg = block.size, block < 0
+        mag = np.abs(block).astype(np.uint64)  # abs keeps -2^63, whose uint64 is 2^63
+        first = np.searchsorted(_POW10, mag, side="right")  # digits - 1
+        groups = int(first.max() + neg.any()) // 3 + 1  # room for the longest value and a sign
+        low = np.empty((n, groups), np.uint16)
+        for g in range(groups - 1, -1, -1):
+            mag, low[:, g] = np.divmod(mag, np.uint64(1000))
+        digits = _DIGITS3.take(low, axis=0).reshape(n, -1)
+        rows = np.concatenate((digits, np.broadcast_to(sep, (n, sep.size))), axis=1)
+        first = digits.shape[1] - 1 - first - neg  # the column of the first character kept
+        rows[neg, first[neg]] = ord("-")
+        width = rows.shape[1]
+        keep = np.triu(np.ones((width, width), bool)).take(first, axis=0)  # columns first on
+        keep[-1, width - sep.size :] &= start + n < values.size  # none after the last value
+        yield rows[keep].tobytes().decode("ascii")

@@ -1,17 +1,20 @@
 """CLI surface: subcommands, exit codes, JSON schema stability."""
 
+import contextlib
+import hashlib
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicdyn import __version__
-from padicdyn.cli import _dumps, main
+from padicdyn.cli import _dumps, _envelope, _verdict_results, main
 from padicdyn.dynamics import BallIndicator, MonomialSystem, birkhoff_average, sphere_partition
 from padicdyn.oracle import Certificate
 from padicdyn.padic import PadicInt
@@ -166,6 +169,102 @@ _json_trees = st.recursive(
 @example({None: [1]})
 def test_dumps_matches_indented_json_dumps(tree):
     assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+_INT64 = np.iinfo(np.int64)
+# 9, 10, 99, 100, ..., 10^18 - 1, 10^18 and their negatives, 0, and the int64 extremes
+_DIGIT_STEPS = [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+_EDGES = np.array(
+    [0, 1, int(_INT64.min), int(_INT64.max)] + _DIGIT_STEPS + [-v for v in _DIGIT_STEPS],
+    dtype=np.int64,
+)
+
+
+@st.composite
+def _int64_arrays(draw):
+    """1-d int64 arrays around the kernel's 2^16-value blocks, ascending or
+    shuffled, of every digit count and sign, with the edges mixed in."""
+    size = draw(st.sampled_from([0, 1, 2, 50, 2**16 - 1, 2**16, 2**16 + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = min(10 ** draw(st.integers(0, 19)), int(_INT64.max))
+    low = 0 if draw(st.booleans()) else -top - (top == _INT64.max)
+    values = rng.integers(low, top, size, dtype=np.int64, endpoint=True)
+    edges = rng.permutation(_EDGES)[:size]
+    values[rng.choice(size, edges.size, replace=False)] = edges
+    if draw(st.booleans()):
+        values.sort()
+    return values
+
+
+def _listed(tree):
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {k: _listed(v) for k, v in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return [_listed(v) for v in tree]
+    return tree
+
+
+_array_trees = st.recursive(
+    _int64_arrays(),
+    lambda kids: st.lists(kids | _json_leaves, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids | _json_leaves, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_int64_arrays(), _array_trees)
+@example(_EDGES, {"ascending": np.sort(_EDGES), "empty": np.array([], dtype=np.int64)})
+@example(np.arange(2**16 - 3, 2**16 + 3, dtype=np.int64) * 10**13, [])
+# object and 2-d arrays go through tolist and the list path
+@example(np.array([2**70, -1], dtype=object), np.arange(6, dtype=np.int64).reshape(2, 3))
+def test_dumps_writes_int64_arrays_as_their_lists(array, tree):
+    doc = {"array": array, "tree": tree}
+    assert _dumps(doc) == json.dumps(_listed(doc), indent=2, sort_keys=True)
+    assert _dumps(array) == json.dumps(_listed(array), indent=2)
+
+
+class _HashingSink:
+    """A stdout that keeps only the sha256 and the length of what is written."""
+
+    def __init__(self):
+        self.sha, self.chars = hashlib.sha256(), 0
+
+    def write(self, text):
+        self.sha.update(text.encode("ascii"))
+        self.chars += len(text)
+
+
+def test_a_million_int_report_streams_in_bounded_memory():
+    # The generated set mod 971^2 holds all 941,870 units: 13 MB of JSON.
+    argv = ["analyze", "--p", "971", "--n", "6", "--l", "1", "--depth", "2", "--format", "json"]
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    params = {"p": 971, "n": 6, "l": 1, "depth": 2}
+    envelope = _envelope("analyze", params, _verdict_results(MonomialSystem(971, 6, 1), 2))
+    expected = json.dumps(_listed(envelope), indent=2, sort_keys=True) + "\n"
+    assert envelope["results"]["generated_mod_p2"].size == 970 * 971
+    assert (sink.chars, sink.sha.hexdigest()) == (len(expected), hashlib.sha256(expected.encode()).hexdigest())
+    assert peak < 32 * 2**20  # 73.4 MiB when the report was one string of a list of ints
+
+
+def test_out_file_matches_stdout_past_a_block_of_the_kernel(capsys, tmp_path):
+    # 5 generates the units mod 263^2: 68,906 > 2^16 values in generated_mod_p2.
+    out_file = tmp_path / "report.json"
+    argv = ["analyze", "--p", "263", "--n", "5", "--l", "1", "--depth", "2", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0
+    assert out_file.read_bytes() == out.encode("ascii")
+    generated = json.loads(out)["results"]["generated_mod_p2"]
+    assert generated == [u for u in range(1, 263**2) if u % 263]
 
 
 def test_json_output_is_byte_identical(capsys):

@@ -603,6 +603,29 @@ def test_a_wrong_order_at_one_depth_is_caught(monkeypatch, p, n, wrong):
         minimality_verdict(MonomialSystem(p, n, 1), 3)
 
 
+def test_a_verdict_enumerates_only_the_depths_it_scans(monkeypatch):
+    # At p = 997 depth 1 has 996 balls, enumerated once inside induced_permutation;
+    # depth 2 has 993,012, of which only the 64 sampled centres are computed.
+    enumerated = []
+    real = BallPartition.centers
+
+    def counted(self, indices=None):
+        if indices is None:
+            enumerated.append(self.depth)
+        return real(self, indices)
+
+    monkeypatch.setattr(BallPartition, "centers", counted)
+    tracemalloc.start()
+    try:
+        minimality_verdict(MonomialSystem(997, 7, 1), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert enumerated == [1]
+    # the generated set mod 997^2 and its sorted copy; 23.6 MiB with every depth enumerated
+    assert peak < 20 * 2**20
+
+
 @st.composite
 def _systems_with_fixed_balls(draw):
     p = draw(st.sampled_from([3, 5, 7, 11, 13]))

@@ -225,3 +225,38 @@ def test_pair_cycle_info_rejects_out_of_range():
     for lengths in ([3, 0], [-1], [2, -4, 1]):
         with pytest.raises(ValueError):
             kernels.pair_cycle_info(lengths)
+
+
+_INT64 = np.iinfo(np.int64)
+# 9, 10, 99, 100, ..., 10^18 - 1, 10^18: every step in the digit count
+_DIGIT_STEPS = [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+_TEXT_EDGES = [0, 1, -1, int(_INT64.min), int(_INT64.max), int(_INT64.min) + 1, int(_INT64.max) - 1]
+_TEXT_EDGES += _DIGIT_STEPS + [-v for v in _DIGIT_STEPS]
+
+
+@pytest.mark.parametrize("separator", [",", ", ", ",\n    "])
+def test_json_int_chunks_is_exact_at_every_digit_count_and_sign(separator):
+    values = np.array(_TEXT_EDGES, dtype=np.int64)
+    assert "".join(kernels.json_int_chunks(values, separator)) == separator.join(map(str, _TEXT_EDGES))
+    for v in _TEXT_EDGES:
+        assert list(kernels.json_int_chunks(np.array([v], dtype=np.int64), separator)) == [str(v)]
+
+
+@pytest.mark.parametrize("size", [0, 1, BASE - 1, BASE, BASE + 1, 3 * BASE])
+def test_json_int_chunks_yields_one_chunk_per_block(size):
+    values = np.random.default_rng(size).integers(_INT64.min, _INT64.max, size, endpoint=True)
+    chunks = list(kernels.json_int_chunks(values, ",\n  "))
+    assert len(chunks) == -(-size // BASE)
+    assert "".join(chunks) == ",\n  ".join(map(str, values.tolist()))
+
+
+def test_json_int_chunks_scratch_memory_does_not_grow_with_the_array():
+    values = np.arange(-(10**6), 10**6, dtype=np.int64) * 4_611_686_018  # 19 digits at the ends
+    tracemalloc.start()
+    try:
+        written = sum(map(len, kernels.json_int_chunks(values, ",\n    ")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written > 44 * 10**6
+    assert peak < 16 * 2**20  # one block's rows, mask and text; 10.5 MiB measured
