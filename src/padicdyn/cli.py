@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 
 import numpy as np
@@ -199,17 +199,16 @@ def _verdict_results(sys_: MonomialSystem, depth: int) -> dict:
     verdict = minimality_verdict(sys_, depth)
     ev = verdict.evidence
     gen = ev.generator
-    depths = []
-    for d in ev.depths:
-        depths.append(
-            {
-                "depth": d.depth,
-                "ball_count": d.ball_count,
-                "cycle_lengths": list(d.cycle_lengths),
-                "transitive": d.transitive,
-                "haar_ball_measure": _frac(haar_ball_measure(sys_, d.depth)),
-            }
-        )
+    depths = [
+        {
+            "depth": d.depth,
+            "ball_count": d.ball_count,
+            "cycle_lengths": list(chain.from_iterable(repeat(*pair) for pair in d.cycle_type)),
+            "transitive": d.transitive,
+            "haar_ball_measure": _frac(haar_ball_measure(sys_, d.depth)),
+        }
+        for d in ev.depths
+    ]
     invariant = None
     if ev.invariant_ball is not None:
         k, center = ev.invariant_ball
@@ -444,7 +443,7 @@ def _cmd_perturb(args) -> int:
         return EXIT_OK
 
     sys_ = MonomialSystem(args.p, args.n, args.l)
-    precision = args.l + max(args.depth, 2) + 2
+    precision = args.l + args.depth + 2
     poly = Polynomial.from_integers(args.q, args.p, precision)
     psys = PerturbedSystem(sys_, poly)
     rep = perturbed_analysis(psys, args.depth, args.steps)

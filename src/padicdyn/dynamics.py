@@ -15,10 +15,11 @@ lie on the sphere and ranks their balls, for :meth:`BallPartition.indices_of`
 and every checked ball permutation. Only :meth:`BallPartition.centers`
 enumerates balls, under the ball cap; :func:`_depth_centers` enumerates every
 depth of a walk before any is mapped, so a depth over the cap refuses first.
-Permutations and a verdict's generated set stay arrays. Every verdict, around
-1 or another fixed point, is assembled by :func:`_verdict_from_depths` from
-the order of n mod p^k, the cycle type of the base ball permutations that
-conjugation keeps; a bounded enumeration or a sample of centres checks it.
+Permutations and a verdict's generated set stay arrays; a cycle type is
+(length, how many cycles have it) pairs, ascending. Every verdict, around 1
+or another fixed point, is assembled by :func:`_verdict_from_depths` from the
+order of n mod p^k, which fixes the cycle type of the base ball permutations
+that conjugation keeps; a bounded enumeration or a sample of centres checks it.
 """
 
 from __future__ import annotations
@@ -169,6 +170,12 @@ class PermutationAction:
             raise IntegrityError("cycle lengths do not cover the partition")
 
     @property
+    def cycle_type(self) -> tuple[tuple[int, int], ...]:
+        """(length, how many cycles have it), ascending by length."""
+        lengths, counts = np.unique(self.cycle_lengths, return_counts=True)
+        return tuple(zip(lengths.tolist(), counts.tolist()))
+
+    @property
     def is_transitive(self) -> bool:
         return self.cycle_lengths.size == 1
 
@@ -198,19 +205,10 @@ def _ball_ranks(partition: BallPartition, images) -> tuple[np.ndarray, np.ndarra
     return ranks, on_sphere
 
 
-def _permutation_from_images(partition: BallPartition, images) -> PermutationAction:
-    """Check the images of a partition's ball centres and return the
-    permutation they induce, with its cycle structure.
-
-    ``images[i]`` is the image of centre i, reduced mod the partition
-    modulus. Raises IntegrityError when an image leaves the sphere or the ball
-    map is not a bijection.
-    """
-    return _permutation_from_ranks(partition, *_ball_ranks(partition, images))
-
-
 def _permutation_from_ranks(partition: BallPartition, mapping, on_sphere) -> PermutationAction:
-    """:func:`_permutation_from_images` for images already through :func:`_ball_ranks`."""
+    """The checked ball permutation from :func:`_ball_ranks` of the centres' images
+    mod the partition modulus. Raises IntegrityError when an image leaves the
+    sphere or the ball map is not a bijection."""
     if not on_sphere.all():
         raise IntegrityError("a ball image left the sphere")
     try:
@@ -228,7 +226,7 @@ def induced_permutation(sys: MonomialSystem, depth: int) -> PermutationAction:
     """
     partition = sphere_partition(sys, depth)
     images = kernels.power_map_any(partition.centers(), sys.n, partition.modulus)
-    return _permutation_from_images(partition, images)
+    return _permutation_from_ranks(partition, *_ball_ranks(partition, images))
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -238,11 +236,11 @@ def induced_permutation(sys: MonomialSystem, depth: int) -> PermutationAction:
 class DepthCycles:
     depth: int
     ball_count: int
-    cycle_lengths: tuple[int, ...]
+    cycle_type: tuple[tuple[int, int], ...]  # (length, how many), ascending
 
     @property
     def transitive(self) -> bool:
-        return len(self.cycle_lengths) == 1
+        return self.cycle_type == ((self.ball_count, 1),)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -257,17 +255,19 @@ class VerdictEvidence:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Verdict:
-    """Minimality, unique ergodicity, and ergodicity always rise and fall together;
-    a Verdict whose three flags disagree cannot be constructed."""
+    """Minimality, unique ergodicity, and ergodicity always rise and fall together,
+    so one flag carries all three."""
 
     minimal: bool
-    uniquely_ergodic: bool
-    ergodic: bool
     evidence: VerdictEvidence
 
-    def __post_init__(self) -> None:
-        if not (self.minimal == self.uniquely_ergodic == self.ergodic):
-            raise IntegrityError("verdict flags must coincide")
+    @property
+    def uniquely_ergodic(self) -> bool:
+        return self.minimal
+
+    @property
+    def ergodic(self) -> bool:
+        return self.minimal
 
 
 def _verdict_from_depths(sys: MonomialSystem, k_max: int, a: int = 1) -> Verdict:
@@ -283,7 +283,7 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, a: int = 1) -> Verdict
     """
     partitions = [sphere_partition(sys, k) for k in range(1, k_max + 1)]
     # every depth's samples first, so that a depth over the cap refuses before any work
-    samples = [part.centers(np.arange(_SAMPLED_CENTERS) * part.ball_count // _SAMPLED_CENTERS)
+    samples = [part.centers([i * part.ball_count // _SAMPLED_CENTERS for i in range(_SAMPLED_CENTERS)])
                for part in partitions]
     gen_report = unit_group_report(sys.n, sys.p, 2)
     gen = gen_report.is_generator
@@ -292,13 +292,12 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, a: int = 1) -> Verdict
     for part, sample in zip(partitions, samples):
         k, count, m, step = part.depth, part.ball_count, part.modulus, sys.p**sys.l
         order = multiplicative_order(sys.n, sys.p, k)
-        lengths = (order,) * (count // order)
         if k == 1 and order == 1:
             # the least a*c mod p^(l+1): a's digits below l, then the least digit but a's digit l
             invariant_ball = (1, a % step + (0 if a // step % sys.p else 1) * step)
         if count <= _ENUMERATED_BALLS:
             perm = induced_permutation(sys, k)
-            agrees = tuple(perm.cycle_lengths.tolist()) == lengths
+            agrees = bool((perm.cycle_lengths == order).all())  # exact: the lengths sum to count
             if invariant_ball and k == 1:
                 fixed = (a * part.ball_center(i) % m for i in perm.fixed_indices())
                 agrees &= invariant_ball[1] == min(fixed, default=None)
@@ -313,7 +312,7 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, a: int = 1) -> Verdict
             agrees = back[0].all() and not any(b.any() for b in back[1:])
         if not agrees:
             raise IntegrityError(f"depth-{k} balls disagree with the order {order} of n mod p^{k}")
-        depths.append(DepthCycles(k, count, lengths))
+        depths.append(DepthCycles(k, count, ((order, count // order),)))
         if gen and order != count:
             raise IntegrityError(
                 f"generator at ({sys.p}, {sys.n}) but depth {k} is not transitive"
@@ -326,7 +325,7 @@ def _verdict_from_depths(sys: MonomialSystem, k_max: int, a: int = 1) -> Verdict
             )
     generated = np.sort(generated_set(sys.n, sys.p**2))
     evidence = VerdictEvidence(gen_report, generated, tuple(depths), invariant_ball)
-    return Verdict(gen, gen, gen, evidence)
+    return Verdict(gen, evidence)
 
 
 def minimality_verdict(sys: MonomialSystem, k_max: int = 4) -> Verdict:
@@ -505,7 +504,7 @@ def product_nonmixing_report(sys: MonomialSystem, depth: int) -> ProductReport:
     """Cycle structure of the product map on ball pairs, plus the invariant
     the product preserves: the class of log x / log y.
 
-    The product cycles come from the M-ball permutation's cycle lengths: a
+    The product cycles come from the M-ball permutation's cycle type: a
     pair of cycles of lengths a and b splits into gcd(a, b) cycles of length
     lcm(a, b), so no pair is enumerated. A disagreement with the closed form,
     M^2/o cycles of length o = ord(n mod p^depth), raises IntegrityError.
@@ -517,8 +516,7 @@ def product_nonmixing_report(sys: MonomialSystem, depth: int) -> ProductReport:
     """
     perm = induced_permutation(sys, depth)
     m_count = perm.partition.ball_count
-    lengths, counts = kernels.pair_cycle_info(perm.cycle_lengths)
-    mult = tuple(zip(lengths.tolist(), counts.tolist()))
+    mult = kernels.pair_cycle_info(perm.cycle_type)
     order = multiplicative_order(sys.n, sys.p, depth)
     if mult != ((order, m_count * m_count // order),):
         raise IntegrityError(
@@ -722,7 +720,8 @@ def perturbed_ball_map(psys: PerturbedSystem, depth: int) -> PermutationAction:
     """The permutation psi_q induces on depth-k balls (equals the unperturbed
     one whenever depth <= 2, and for any depth when q = 0)."""
     partition = sphere_partition(psys.base, depth)
-    return _permutation_from_images(partition, psys.apply(partition.centers(), partition.modulus))
+    images = psys.apply(partition.centers(), partition.modulus)
+    return _permutation_from_ranks(partition, *_ball_ranks(partition, images))
 
 
 def observe_marginal_perturbation(

@@ -1,6 +1,6 @@
 """Hot loops for exhaustive residue sweeps: batch modular powers, permutation
 cycle scans, and valuation tables, all numpy over int64, plus the cycle
-structure of a product permutation from its factor's cycle lengths.
+type of a product permutation from its factor's cycle type.
 
 :func:`cycle_info` labels every index with the least index of its cycle by
 pointer jumping, and rejects non-permutations. Verdicts scan only up to 2^16
@@ -32,14 +32,10 @@ def get_backend() -> str:
     return "numpy"
 
 
-def _check_modulus(modulus: int) -> None:
-    if not 1 < modulus <= INT64_SAFE_MODULUS:
-        raise ValueError(f"modulus {modulus} outside int64-safe kernel range")
-
-
 def power_map(values, exponent: int, modulus: int) -> np.ndarray:
     """Elementwise values[i]^exponent mod modulus over an int64 array."""
-    _check_modulus(modulus)
+    if not 1 < modulus <= INT64_SAFE_MODULUS:
+        raise ValueError(f"modulus {modulus} outside int64-safe kernel range")
     if exponent < 0:
         raise ValueError("exponent must be non-negative")
     base = np.ascontiguousarray(values, dtype=np.int64) % modulus
@@ -130,26 +126,23 @@ def valuation_table(values, p: int, cap: int) -> np.ndarray:
     return out
 
 
-def pair_cycle_info(lengths) -> tuple[np.ndarray, np.ndarray]:
-    """Cycle structure of sigma x sigma, (i, j) -> (sigma(i), sigma(j)), from
-    the cycle lengths of sigma alone: ascending distinct product cycle
-    lengths, and how many product cycles have each length.
+def pair_cycle_info(cycle_type) -> tuple[tuple[int, int], ...]:
+    """Cycle type of sigma x sigma, (i, j) -> (sigma(i), sigma(j)), from the
+    cycle type of sigma alone: (length, how many cycles have it) pairs in, and
+    out, ascending by length.
 
     A pair of sigma-cycles of lengths a and b splits into gcd(a, b) cycles
     of length lcm(a, b), so no pair is ever enumerated; the work is
     quadratic only in the number of distinct lengths.
     """
-    values, counts = np.unique(np.asarray(lengths, dtype=np.int64), return_counts=True)
-    if values.size and values[0] < 1:
+    if any(a < 1 for a, _ in cycle_type):
         raise ValueError("cycle lengths must be positive")
-    groups = list(zip(values.tolist(), counts.tolist()))
     mult: dict[int, int] = {}
-    for a, count_a in groups:
-        for b, count_b in groups:
+    for a, count_a in cycle_type:
+        for b, count_b in cycle_type:
             key = lcm(a, b)
             mult[key] = mult.get(key, 0) + count_a * count_b * gcd(a, b)
-    keys = sorted(mult)
-    return np.asarray(keys, dtype=np.int64), np.asarray([mult[k] for k in keys], dtype=np.int64)
+    return tuple(sorted(mult.items()))
 
 
 def power_map_any(values, exponent: int, modulus: int) -> np.ndarray:

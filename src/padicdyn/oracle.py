@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -50,14 +50,7 @@ class Certificate:
         return self.status == "PASS"
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "parameters": self.parameters,
-            "status": self.status,
-            "annotations": self.annotations,
-            "witness": self.witness,
-            "digest": self.digest,
-        }
+        return asdict(self)
 
 
 def _make_certificate(
@@ -71,7 +64,7 @@ def _make_certificate(
         "witness": witness,
     }
     digest = hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
-    return Certificate(claim, parameters, status, annotations, witness, digest)
+    return Certificate(**body, digest=digest)
 
 
 def _vp_capped(x: int, p: int, cap: int) -> int:
@@ -419,7 +412,6 @@ def certify_unique_invariance(
         annotations["invariant_vector"] = f"1/{count} on every ball"
     if not transitive and consistent:
         support = set(cycles[0])
-        weight = Fraction(1, len(support))
         ok = all((i in support) == (mapping[i] in support) for i in range(count))
         consistent = consistent and ok and len(support) < count
         reps = _sphere_reps(p, l, k)

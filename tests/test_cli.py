@@ -52,6 +52,15 @@ def test_analyze_non_minimal_evidence(capsys):
     assert res["invariant_ball"] == {"depth": 1, "center": 4, "radius_exponent": 2}
 
 
+def test_analyze_lists_every_cycle_of_a_many_cycle_depth(capsys):
+    # n = 1 + 3^10 has order 9 mod 3^12: 39,366 cycles of length 9 at depth 12
+    code, doc, _ = run_json(capsys, "analyze", "--p", "3", "--n", "59050", "--l", "1", "--depth", "12")
+    assert code == 0
+    last = doc["results"]["depths"][-1]
+    assert (last["depth"], last["ball_count"], last["transitive"]) == (12, 354294, False)
+    assert last["cycle_lengths"] == [9] * 39366
+
+
 def test_analyze_rejects_two(capsys):
     code, out, err = run_cli(capsys, "analyze", "--p", "2", "--n", "3", "--l", "1")
     assert code == 2
@@ -79,6 +88,11 @@ def test_analyze_rejects_non_unit_exponent(capsys):
             ["analyze", "--p", str(2**89 - 1), "--n", "2", "--l", "1", "--depth", "2"],
             "padicdyn analyze: primality of 618970019642690137449562111 is not decided at or "
             "above 3317044064679887385961981\n",
+        ),
+        (
+            # prime, above 2**63: the sampled indices must not overflow int64 before the cap
+            ["analyze", "--p", "10000000000000000051", "--n", "2", "--depth", "2"],
+            "padicdyn analyze: partition of 10000000000000000050 balls exceeds cap 1000000\n",
         ),
     ],
 )

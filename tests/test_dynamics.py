@@ -231,7 +231,7 @@ def test_colliding_ball_images_raise_integrity_error():
     images = part.centers().tolist()
     images[3] = images[0]
     with pytest.raises(IntegrityError, match="not a bijection"):
-        dynamics._permutation_from_images(part, images)
+        dynamics._permutation_from_ranks(part, *dynamics._ball_ranks(part, images))
 
 
 @pytest.mark.parametrize("bad", [0, 1, 1 + 5**3])  # 1 + p^(l+1) lies at distance p^-(l+1)
@@ -240,7 +240,7 @@ def test_off_sphere_ball_images_raise_integrity_error(bad):
     images = part.centers().tolist()
     images[7] = bad
     with pytest.raises(IntegrityError, match="left the sphere"):
-        dynamics._permutation_from_images(part, images)
+        dynamics._permutation_from_ranks(part, *dynamics._ball_ranks(part, images))
 
 
 def test_ball_ranks_flag_off_sphere_residues_beyond_int64():
@@ -508,7 +508,7 @@ def test_conjugated_permutations_match_the_conjugated_images(monkeypatch, p, n, 
         seen.clear()
         depths = conjugated_verdict(sys_, a, k_max).evidence.depths
         assert [perm.partition.depth for perm in seen] == [1, 2, 3]
-        assert [d.cycle_lengths for d in depths] == [tuple(perm.cycle_lengths.tolist()) for perm in seen]
+        assert [d.cycle_type for d in depths] == [perm.cycle_type for perm in seen]
         for perm in seen:
             reps, m = perm.partition.centers().tolist(), perm.partition.modulus
             a_res = a.residue % m
@@ -549,20 +549,25 @@ def _systems_and_depths(draw):
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(_systems_and_depths())
+@example((MonomialSystem(3, 59050, 1), 12))  # n = 1 + 3^10: 39,366 cycles of length 9
 def test_ball_cycles_follow_the_order_of_n(case):
     # log conjugates x -> x^n on the sphere to u -> n*u on the units mod p^k,
     # so every depth-k ball cycle has length o = ord_{p^k}(n).
     sys_, k = case
     pk = sys_.p**k
     o = n_order(sys_.n % pk, pk)
-    expected = (o,) * ((pk - pk // sys_.p) // o)
-    assert tuple(induced_permutation(sys_, k).cycle_lengths.tolist()) == expected
+    balls = pk - pk // sys_.p
+    expected = (o,) * (balls // o)
+    perm = induced_permutation(sys_, k)
+    assert tuple(perm.cycle_lengths.tolist()) == expected
+    assert perm.cycle_type == ((o, balls // o),)
     with pytest.MonkeyPatch.context() as mp:
         # power_map_any returns an object array; its ints are small, so they rank as int64
         mp.setattr(kernels, "INT64_SAFE_MODULUS", 1)
         assert tuple(induced_permutation(sys_, k).cycle_lengths.tolist()) == expected
     depth = max(k, 2)
     base = minimality_verdict(sys_, depth).evidence.depths
+    assert base[k - 1].cycle_type == ((o, balls // o),)
     for a in fixed_points(sys_, sys_.l + depth):
         assert conjugated_verdict(sys_, a, depth).evidence.depths == base
 
@@ -676,8 +681,8 @@ def test_ball_cycles_beyond_int64(p, n, l, k):
     expected = (o,) * ((pk - pk // p) // o)
     assert tuple(induced_permutation(sys_, k).cycle_lengths.tolist()) == expected
     base = minimality_verdict(sys_, k).evidence.depths
-    assert tuple(d.cycle_lengths for d in base) == tuple(
-        tuple(induced_permutation(sys_, d.depth).cycle_lengths.tolist()) for d in base
+    assert tuple(d.cycle_type for d in base) == tuple(
+        induced_permutation(sys_, d.depth).cycle_type for d in base
     )
     for a in fixed_points(sys_, l + k):
         assert conjugated_verdict(sys_, a, k).evidence.depths == base
