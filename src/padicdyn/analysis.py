@@ -1,10 +1,11 @@
 """p-adic logarithm, exponential, continuous powers x^a, and roots of unity.
 
-The series are summed in exact integer arithmetic at a widened internal
-precision: a term of the log series at index k is divided by p^v_p(k), and a
-term of the exp series by p^v_p(k!), so enough guard digits are added up
-front that the final result is bit-exact mod p^K. No rounding ever occurs;
-a division that fails to be exact would be a bug, not a precision event.
+The series are summed in exact integer arithmetic, bit-exact mod p^K; no
+rounding ever occurs. The log series is one cached Horner polynomial per
+(p, K, v): times p^e, e the largest v_p(k) among its terms, its coefficients
+are integers and its terms have valuation >= e, so it is summed mod p^(K+e)
+and divided by p^e exactly. :func:`padic_log_residues` logs a point set with
+one plan. The exp series adds guard digits and divides term k by p^v_p(k!).
 
 Domains (all distances as valuation exponents):
   log: defined on dist(x, 1) >= 1, and >= 2 when p = 2;
@@ -14,6 +15,7 @@ Domains (all distances as valuation exponents):
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import DomainError, IntegrityError
@@ -40,11 +42,40 @@ def _factorial_valuation(p: int, k: int) -> int:
     return total
 
 
+@lru_cache(maxsize=64)
+def _log_plan(p: int, K: int, v: int) -> tuple[tuple[int, ...], int, int, int]:
+    """Horner coefficients of p^e log(1 + lam) mod p^(K+e), highest first, with
+    p^(K+e), p^e and p^K; exact for every lam of valuation >= v. Terms past k_max
+    have valuation >= K, as k*v - log_p(k) is non-decreasing in k; with e = max v_p(k),
+    c_k = (-1)^(k+1) p^(e-v_p(k)) / unit(k) is an integer and c_k lam^k has valuation >= e."""
+    k_max = 1
+    while k_max * v - _ilog(p, k_max) < K:
+        k_max += 1
+    e = _ilog(p, k_max)
+    mod_w = p ** (K + e)
+    coeffs = []
+    for k in range(k_max, 0, -1):
+        vk = int_valuation(k, p) if k % p == 0 else 0
+        coeffs.append((-1) ** (k + 1) * p ** (e - vk) * pow(k // p**vk, -1, mod_w) % mod_w)
+    return tuple(coeffs), mod_w, p**e, p**K
+
+
+def _log_sum(p: int, K: int, v: int, residues: list[int]) -> list[int]:
+    """log of each residue mod p^K, for residues at distance >= v from 1."""
+    coeffs, mod_w, p_e, mod = _log_plan(p, K, v)
+    out = []
+    for r in residues:
+        lam, acc = (r - 1) % mod, 0
+        for c in coeffs:
+            acc = (acc + c) * lam % mod_w
+        out.append(acc // p_e)
+    return out
+
+
 def padic_log(x: PadicInt) -> PadicInt:
     """log(x) = sum (-1)^(k+1) (x-1)^k / k, exact mod p^K on its domain."""
     p, K = x.prime, x.precision
-    one = PadicInt.one(p, K)
-    lam_val = x.dist(one)
+    lam_val = x.dist(PadicInt.one(p, K))
     needed = 2 if p == 2 else 1
     if not lam_val.at_least(needed):
         raise DomainError(
@@ -52,24 +83,20 @@ def padic_log(x: PadicInt) -> PadicInt:
         )
     if not lam_val.is_finite:
         return PadicInt.zero(p, K)
-    v = lam_val.value
+    return PadicInt(p, K, _log_sum(p, K, lam_val.value, [x.residue])[0])
 
-    k_max = 1
-    while k_max * v - _ilog(p, k_max) < K:
-        k_max += 1
-    guard = _ilog(p, k_max) + 1
-    kw = K + guard
-    mod_w = p**kw
 
-    lam = (x.residue - 1) % x.modulus
-    total = 0
-    for k in range(1, k_max + 1):
-        vk = int_valuation(k, p) if k % p == 0 else 0
-        unit = k // p**vk
-        pk = pow(lam, k, p ** (kw + vk))
-        term = (pk // p**vk) * pow(unit, -1, mod_w) % mod_w
-        total = (total - term if k % 2 == 0 else total + term) % mod_w
-    return PadicInt(p, K, total % x.modulus)
+def padic_log_residues(p: int, K: int, residues: list[int]) -> list[int]:
+    """log mod p^K of every residue, each in the log domain at p; one plan for all."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    needed = 2 if p == 2 else 1
+    if K < needed:
+        raise DomainError(f"log needs precision K >= {needed} at p = {p}; got {K}")
+    for r in residues:
+        if (r - 1) % p**needed:
+            raise DomainError(f"log needs dist(x, 1) >= {needed} at p = {p}; got residue {r}")
+    return _log_sum(p, K, needed, residues)
 
 
 def padic_exp(x: PadicInt) -> PadicInt:

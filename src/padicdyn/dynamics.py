@@ -32,7 +32,7 @@ from math import gcd
 import numpy as np
 
 from . import kernels
-from .analysis import padic_log, roots_of_unity
+from .analysis import padic_log_residues, roots_of_unity
 from .errors import DomainError, IntegrityError, ResourceError
 from .padic import PadicInt, factorize, int_valuation, is_prime
 from .unitgroups import (
@@ -529,20 +529,15 @@ def product_nonmixing_report(sys: MonomialSystem, depth: int) -> ProductReport:
     p, l, n = sys.p, sys.l, sys.n
     kw = 2 * l + depth
     class_mod = p ** (l + depth)
-    mod_w = p**kw
     step = p**l
     sphere = BallPartition(p, l, l + depth)
     points = [sphere.ball_center(i) for i in range(min(_LOG_POINT_CAP, sphere.ball_count))]
-    shifted = []
-    shifted_next = []
-    for r in points:
-        lg = padic_log(PadicInt(p, kw, r)).residue
-        lg_next = padic_log(PadicInt(p, kw, pow(r, n, mod_w))).residue
-        for value in (lg, lg_next):
-            if value % step != 0 or (value // step) % p == 0:
-                raise IntegrityError("sphere point has a logarithm off the image sphere")
-        shifted.append((lg // step) % class_mod)
-        shifted_next.append((lg_next // step) % class_mod)
+    logs = padic_log_residues(p, kw, points + [pow(r, n, p**kw) for r in points])
+    for value in logs:
+        if value % step != 0 or (value // step) % p == 0:
+            raise IntegrityError("sphere point has a logarithm off the image sphere")
+    shifted = [(lg // step) % class_mod for lg in logs[: len(points)]]
+    shifted_next = [(lg // step) % class_mod for lg in logs[len(points) :]]
     linearity_ok = all(
         sn == (n * s) % class_mod for s, sn in zip(shifted, shifted_next)
     )

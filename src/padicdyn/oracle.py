@@ -22,9 +22,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
 
-from .analysis import padic_log
+from .analysis import padic_log_residues
 from .errors import DomainError, ResourceError
-from .padic import PadicInt, is_prime
+from .padic import is_prime
 from .unitgroups import density_check, is_generator_mod_p2, multiplicative_order
 
 DEFAULT_RESIDUE_CAP = 10**6
@@ -131,7 +131,7 @@ def certify_power_scaling(
         n_strict = 0
         for c in range(1, p):
             members = list(range(c, m, p))
-            powers = [(x**n) % m for x in members]
+            powers = [pow(x, n, m) for x in members]
             size = len(members)
             for i in range(size):
                 xi = members[i]
@@ -195,14 +195,14 @@ def _orbit_is_transitive(p: int, n: int, l: int, k: int) -> bool:
     rep_set = set(reps)
     start = reps[0]
     seen = 1
-    x = (start**n) % m
+    x = pow(start, n, m)
     while x != start:
         if x not in rep_set:
             raise DomainError(f"orbit left the sphere at ({p}, {n}, l={l}, k={k})")
         seen += 1
         if seen > len(reps):
             raise DomainError("orbit walk failed to close")
-        x = (x**n) % m
+        x = pow(x, n, m)
     return seen == len(reps)
 
 
@@ -515,13 +515,11 @@ def certify_log_isometry(
         raise ResourceError(f"p^K = {m} exceeds residue cap {residue_cap}")
 
     points = list(range(1, m, p))
-    logs = {}
+    logs = dict(zip(points, padic_log_residues(p, K, points)))
     witness = None
-    for r in points:
-        lg = padic_log(PadicInt(p, K, r)).residue
+    for r, lg in logs.items():
         if lg % p != 0:
             witness = witness or {"kind": "log-off-domain", "x": r, "log": lg}
-        logs[r] = lg
     for v in range(1, K + 1):
         q = p**v
         classes: dict[int, int] = {}

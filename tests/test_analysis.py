@@ -5,8 +5,18 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from padicdyn.analysis import padic_exp, padic_log, pow_padic, roots_of_unity, teichmuller
+from padicdyn import analysis
+from padicdyn.analysis import (
+    padic_exp,
+    padic_log,
+    padic_log_residues,
+    pow_padic,
+    roots_of_unity,
+    teichmuller,
+)
 from padicdyn.errors import DomainError
 from padicdyn.padic import PadicInt, int_valuation, is_prime
 
@@ -109,6 +119,57 @@ def test_log_isometry_exhaustive_small():
             lhs = logs[x].dist(logs[y]).capped()
             rhs = PadicInt(p, K, x).dist(PadicInt(p, K, y)).capped()
             assert lhs == rhs
+
+
+_LOG_PRIMES = (2, 3, 5, 7, 13, 97, 999999999989)
+
+
+@st.composite
+def _log_points(draw):
+    """(p, K, residues) with residues at every distance from 1 on the log
+    domain, 1 mod p^K included, some of them not reduced mod p^K."""
+    p = draw(st.sampled_from(_LOG_PRIMES))
+    floor = 2 if p == 2 else 1
+    K = draw(st.integers(floor, 12))
+    residues = []
+    for d in draw(st.lists(st.integers(floor, K), min_size=1, max_size=6)):
+        unit = draw(st.integers(1, p ** (K - d)))
+        if unit % p == 0:  # a unit, so the distance is exactly d when d < K
+            unit += 1
+        residues.append(1 + unit * p**d + draw(st.integers(0, 2)) * p**K)
+    return p, K, residues
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_log_points())
+@example((2, 2, [1, 5, 9]))
+@example((999999999989, 12, [1 + 999999999989**11, 1 + 999999999989**12]))
+def test_batched_log_matches_the_series_and_the_scalar(case):
+    p, K, residues = case
+    got = padic_log_residues(p, K, residues)
+    # the reference sums 4K + 16 terms, which leaves a tail of valuation >= K
+    assert got == [series_log(r % p**K, p, K) for r in residues]
+    assert got == [padic_log(PadicInt(p, K, r)).residue for r in residues]
+
+
+def test_batched_log_domain_gates():
+    with pytest.raises(DomainError):
+        padic_log_residues(5, 4, [1, 6, 7])  # 7 is not 1 mod 5
+    with pytest.raises(DomainError):
+        padic_log_residues(2, 5, [5, 3])  # p = 2 needs 1 mod 4
+    with pytest.raises(DomainError):
+        padic_log_residues(2, 1, [1])  # K = 1 cannot see 1 mod 4
+    with pytest.raises(DomainError):
+        padic_log_residues(9, 3, [1, 10])
+
+
+def test_log_at_a_deep_distance_plans_for_that_distance():
+    # a plan for the domain floor would sum about K terms at 3^1000 instead of 2
+    analysis._log_plan.cache_clear()
+    x = PadicInt(3, 1000, 1 + 3**500)
+    assert padic_log(x).residue == 3**500  # the square of 3^500 is 0 mod 3^1000
+    assert len(analysis._log_plan(3, 1000, 500)[0]) == 2
+    assert analysis._log_plan.cache_info().hits == 1
 
 
 # -- exponential ------------------------------------------------------------------

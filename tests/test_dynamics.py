@@ -721,17 +721,15 @@ def test_product_never_transitive_even_when_base_is_not():
 
 
 def test_product_log_ratio_catches_a_moved_class(monkeypatch):
-    real_log = dynamics.padic_log
-    calls = []
+    real_logs = dynamics.padic_log_residues
 
-    def skewed_log(x):
-        out = real_log(x)
-        calls.append(x)
-        if len(calls) == 2:  # the image log of the first sphere point, times 2
-            return PadicInt(out.prime, out.precision, 2 * out.residue)
+    def skewed_logs(p, K, residues):
+        out = real_logs(p, K, residues)
+        first_image = len(out) // 2  # the points come first, then their images
+        out[first_image] = 2 * out[first_image] % p**K
         return out
 
-    monkeypatch.setattr(dynamics, "padic_log", skewed_log)
+    monkeypatch.setattr(dynamics, "padic_log_residues", skewed_logs)
     rep = product_nonmixing_report(MonomialSystem(5, 2, 1), 2)
     assert rep.log_points_checked >= 2
     assert not rep.log_linearity_ok and not rep.log_ratio_invariant

@@ -251,3 +251,17 @@ def test_log_isometry_certificates():
         certify_log_isometry(2, 4)
     with pytest.raises(ResourceError):
         certify_log_isometry(7, 9)
+
+
+def test_log_isometry_catches_a_skewed_log(monkeypatch):
+    real_logs = oracle.padic_log_residues
+
+    def skewed_logs(p, K, residues):
+        out = real_logs(p, K, residues)
+        out[1] = (out[1] + p ** (K - 1)) % p**K  # lands on another point's log
+        return out
+
+    monkeypatch.setattr(oracle, "padic_log_residues", skewed_logs)
+    cert = certify_log_isometry(5, 4)
+    assert cert.status == "FAIL"
+    assert cert.witness == {"kind": "log-merges-classes", "level": 4, "classes": [6, 131]}
