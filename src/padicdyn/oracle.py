@@ -8,8 +8,10 @@ cross-checks (no kernels, no PadicInt arithmetic in the checked quantities).
 A certificate is a frozen record {claim, parameters, status, annotations,
 witness?, digest}; the digest is the sha256 of its canonical JSON form, so a
 re-run with the same parameters reproduces it bit for bit. Sweeps refuse to
-start beyond their caps: ``residue_cap`` (p^K <= 10^6 residues by default), and
-the constant exponent cap n <= 64 and pair cap 2*10^7 of the quadratic sweep.
+start beyond their caps: ``residue_cap`` (p^K <= 10^6 residues by default), the
+constant exponent cap n <= 64 and pair cap 2*10^7 of the quadratic sweep, and
+the constant walk cap of 2*10^7 bounding the orbit and cycle steps that the
+minimality and generator sweeps may take.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .unitgroups import density_check, is_generator_mod_p2, multiplicative_order
 DEFAULT_RESIDUE_CAP = 10**6
 DEFAULT_N_CAP = 64
 DEFAULT_PAIR_CAP = 2 * 10**7
+DEFAULT_WALK_CAP = 2 * 10**7
 
 
 def canonical_json(obj) -> str:
@@ -87,9 +90,9 @@ def certify_power_scaling(
     """Exhaustively certify |x^n - y^n| <= |n| |x - y| over all unit pairs at
     distance >= 1, with equality whenever p > 2, or p = 2 with odd n.
 
-    Powers are computed as plain exact integers before any reduction.
-    Includes the factorial bound v_p(k!) <= k-1 (strict for odd p once
-    k >= 2) that underlies the law.
+    Powers come from plain modular exponentiation, valuations from one table
+    of the residues mod p^K. Includes the factorial bound v_p(k!) <= k-1
+    (strict for odd p once k >= 2) that underlies the law.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -123,25 +126,27 @@ def certify_power_scaling(
         factorial_rows.append({"k": k, "v_factorial": vk, "bound": k - 1, "holds": holds})
         if not holds:
             witness = {"kind": "factorial-bound", "k": k, "v_factorial": vk}
+    vtab = [_vp_capped(r, p, K) for r in range(m)]
     equality = strict = checked = 0
     per_n_strict: dict[str, int] = {}
     for n in range(1, n_max + 1):
         vn = min(_vp_capped(n, p, K), K)
+        # Two members of a class differ by p * (their index gap), so the
+        # expected valuation depends on the gap alone.
+        expected_at = [min(vn + vtab[p * g], K) for g in range(class_size)]
         eq_required = p > 2 or n % 2 == 1
         n_strict = 0
         for c in range(1, p):
-            members = list(range(c, m, p))
+            members = range(c, m, p)
             powers = [pow(x, n, m) for x in members]
-            size = len(members)
-            for i in range(size):
-                xi = members[i]
-                pi = powers[i]
-                for j in range(i + 1, size):
-                    vd = min(_vp_capped(members[j] - xi, p, K), K)
-                    dpw = (powers[j] - pi) % m
-                    va = _vp_capped(dpw, p, K)
-                    expected = min(vn + vd, K)
-                    checked += 1
+            for i, pi in enumerate(powers):
+                observed = [vtab[(pj - pi) % m] for pj in powers[i + 1 :]]
+                expected_row = expected_at[1 : class_size - i]
+                checked += len(observed)
+                if observed == expected_row:
+                    equality += len(observed)
+                    continue
+                for j, va, expected in zip(range(i + 1, class_size), observed, expected_row):
                     if va == expected:
                         equality += 1
                     elif va > expected:
@@ -150,7 +155,7 @@ def certify_power_scaling(
                         if eq_required and witness is None:
                             witness = {
                                 "kind": "missing-equality",
-                                "x": xi,
+                                "x": members[i],
                                 "y": members[j],
                                 "n": n,
                                 "observed": va,
@@ -160,7 +165,7 @@ def certify_power_scaling(
                         if witness is None:
                             witness = {
                                 "kind": "inequality-violated",
-                                "x": xi,
+                                "x": members[i],
                                 "y": members[j],
                                 "n": n,
                                 "observed": va,
@@ -252,6 +257,10 @@ def certify_minimality_criterion(
     deepest_count = (p - 1) * p ** (k_max - 1)
     if deepest_count > residue_cap or p * p > residue_cap:
         raise ResourceError(f"{deepest_count} balls per sweep exceed cap {residue_cap}")
+    # Each unit n mod p^2 walks at most the p^k - p^(k-1) balls of every depth.
+    steps = (p * p - p) * len(l_list) * (p**k_max - 1)
+    if steps > DEFAULT_WALK_CAP:
+        raise ResourceError(f"{steps} orbit steps exceed walk cap {DEFAULT_WALK_CAP}")
     units = [n for n in range(1, p * p) if n % p != 0]
     if jobs > 1:
         tasks = [(p, tuple(l_list), k_max, units[i::jobs]) for i in range(min(jobs, len(units)))]
@@ -277,15 +286,16 @@ def certify_minimality_criterion(
 
 
 def rational_nullspace(
-    rows: list[dict[int, Fraction]], num_vars: int
+    rows: list[dict[int, int | Fraction]], num_vars: int
 ) -> tuple[int, list[list[Fraction]]]:
     """Nullspace of a sparse rational matrix by exact Gauss-Jordan elimination.
 
-    Rows are {column: coefficient} dicts; returns (rank, basis vectors). A
-    column incidence index keeps elimination proportional to the fill-in, so
+    Rows are {column: int or Fraction} dicts; returns (rank, basis vectors of
+    Fractions). Entries stay ints until a pivot other than +-1 divides a row.
+    A column incidence index keeps elimination proportional to the fill-in, so
     permutation-difference systems stay linear in practice.
     """
-    work: list[dict[int, Fraction]] = [dict(r) for r in rows if r]
+    work: list[dict[int, int | Fraction]] = [dict(r) for r in rows if r]
     incidence: dict[int, set[int]] = {}
     for ridx, row in enumerate(work):
         for col in row:
@@ -299,16 +309,19 @@ def rational_nullspace(
         r0 = min(candidates, key=lambda r: (len(work[r]), r))
         row = work[r0]
         lead = row[col]
-        if lead != 1:
+        if lead == -1:
             for c in row:
-                row[c] /= lead
+                row[c] = -row[c]
+        elif lead != 1:
+            for c in row:
+                row[c] = Fraction(row[c]) / lead
         for r in list(incidence.get(col, ())):
             if r == r0:
                 continue
             other = work[r]
             factor = other[col]
             for c, v in row.items():
-                nv = other.get(c, Fraction(0)) - factor * v
+                nv = other.get(c, 0) - factor * v
                 if nv == 0:
                     if c in other:
                         del other[c]
@@ -327,7 +340,7 @@ def rational_nullspace(
         for col, r in pivot_row_of.items():
             coeff = work[r].get(free)
             if coeff:
-                vec[col] = -coeff
+                vec[col] = Fraction(-coeff)
         basis.append(vec)
     return rank, basis
 
@@ -351,7 +364,7 @@ def certify_unique_invariance(
     p: int, n: int, l: int, k: int, residue_cap: int = DEFAULT_RESIDUE_CAP
 ) -> Certificate:
     """Solve for all ball-weight vectors invariant under the induced
-    permutation, by exact rational elimination.
+    permutation, by exact elimination of its +-1 difference rows.
 
     The solution space must be spanned by cycle indicators: one-dimensional
     and uniform exactly when the action is transitive; otherwise a non-uniform
@@ -378,7 +391,7 @@ def certify_unique_invariance(
     rows = []
     for i, j in enumerate(mapping):
         if i != j:
-            rows.append({i: Fraction(-1), j: Fraction(1)})
+            rows.append({i: -1, j: 1})
     rank, basis = rational_nullspace(rows, count)
     nullity = count - rank
 
@@ -451,6 +464,10 @@ def certify_generator_consistency(
         raise DomainError("l_max must be at least 2")
     if p**l_max > residue_cap:
         raise ResourceError(f"p^l_max = {p ** l_max} exceeds residue cap {residue_cap}")
+    # Each unit n mod p^2 walks at most the p^l - p^(l-1) units of every level.
+    steps = (p * p - p) * (p**l_max - p)
+    if steps > DEFAULT_WALK_CAP:
+        raise ResourceError(f"{steps} cycle steps exceed walk cap {DEFAULT_WALK_CAP}")
 
     witness = None
     cases = 0

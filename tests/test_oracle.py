@@ -66,6 +66,45 @@ def test_certificate_digest_reproducible():
     assert c.digest != a.digest
 
 
+# Digests from the plain pair-by-pair sweep and the all-Fraction solve: any
+# faster sweep must reproduce them bit for bit.
+PINNED_DIGESTS = [
+    (certify_power_scaling, (2, 5, 4), "f61e36ef986d76f4d2ed0171e423a197bd253a0002efb6d711c88f6c48cc86a8"),
+    (certify_power_scaling, (2, 6, 8), "168ead0659ad2dfad0744c9c735f86b447904c177eea77f323650fcf05948318"),
+    (certify_power_scaling, (3, 4, 9), "0435f9bfd8dc9d3eda3935e58c96ba4fc65735288304d4ed9cbecf7f7bf4f4c8"),
+    (certify_power_scaling, (5, 3, 6), "661958bfe669a2572ddead8f3d20faa7bd0541461c0def7e2f92fbc46861b5bf"),
+    (certify_unique_invariance, (3, 2, 1, 2), "e928b7274fe7af083b638150ea364763270dca77780afed26646d21f4a56619b"),
+    (certify_unique_invariance, (7, 10, 1, 2), "03af09f574f361512bf22a6c2e88e5195869e2b87c929d5cb13f87e34cb9780e"),
+    (certify_unique_invariance, (5, 4, 1, 2), "b14f5c098ade4bcdb6c5dee5c3371249a27152176df2fb7c1f62c4cc2e9f75ca"),
+    (certify_unique_invariance, (5, 7, 2, 2), "0dfb3ad436b1fe9ad68baf8f9abeb7d9732b7c3651daaf64938f217d8fa99c1f"),
+    (certify_minimality_criterion, (5, (1, 2), 3), "9cbe7fc005f2ecf794d0db81b413cca1fe319ee1f9da1e2eb2b197a71a589a38"),
+    (certify_generator_consistency, (5, 4), "bf11c73ceca34385fdf6411681639fdade121132783a78ece7d802bd44af274c"),
+]
+
+
+@pytest.mark.parametrize("certify,args,digest", PINNED_DIGESTS)
+def test_certificate_digests_are_pinned(certify, args, digest):
+    assert certify(*args).digest == digest
+
+
+def test_power_scaling_catches_a_skewed_power(monkeypatch):
+    def skewed_pow(x, n, m):
+        return pow(x, n, m) + (9 if (x, n, m) == (7, 2, 81) else 0)
+
+    monkeypatch.setattr(oracle, "pow", skewed_pow, raising=False)
+    cert = certify_power_scaling(3, 4, 2)
+    assert cert.status == "FAIL"
+    assert cert.witness == {
+        "kind": "missing-equality",
+        "x": 7,
+        "y": 25,
+        "n": 2,
+        "observed": 4,
+        "expected": 2,
+    }
+    assert cert.digest == "8a6a8b2ede23307de05472652245929a78dd1e2648f13bb1260a6577f8902bba"
+
+
 def test_certificate_schema_keys():
     cert = certify_power_scaling(3, 3, 4)
     assert list(cert.to_dict()) == [
@@ -100,6 +139,25 @@ def test_minimality_criterion_covers_seventeen():
 def test_minimality_criterion_rejects_two():
     with pytest.raises(DomainError):
         certify_minimality_criterion(2, (1,), 3)
+
+
+def test_minimality_criterion_walk_budget(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="^16997603328 orbit steps exceed walk cap 20000000$"):
+        certify_minimality_criterion(97)
+    assert time.perf_counter() - start < 1.0
+    # p = 5, two levels, depths 1-3: 20 units x 2 x (5^3 - 1) = 4960 steps
+    monkeypatch.setattr(oracle, "DEFAULT_WALK_CAP", 4960)
+    assert certify_minimality_criterion(5, (1, 2), 3).passed
+
+    def no_walk(*args):
+        raise AssertionError("walked past the budget")
+
+    monkeypatch.setattr(oracle, "_orbit_is_transitive", no_walk)
+    monkeypatch.setattr(oracle, "is_generator_mod_p2", no_walk)
+    monkeypatch.setattr(oracle, "DEFAULT_WALK_CAP", 4959)
+    with pytest.raises(ResourceError, match="^4960 orbit steps exceed walk cap 4959$"):
+        certify_minimality_criterion(5, (1, 2), 3, jobs=2)
 
 
 def test_minimality_criterion_parallel_matches_serial():
@@ -218,6 +276,23 @@ def test_nullspace_full_rank():
     assert rank == 2 and basis == []
 
 
+def test_nullspace_int_rows_match_fraction_rows():
+    int_rows = [{0: -1, 3: 1}, {1: 2, 2: -3, 4: 1}, {0: 5, 1: 1}, {3: -1, 2: 1}, {4: 7}]
+    frac_rows = [{c: Fraction(v) for c, v in row.items()} for row in int_rows]
+    assert rational_nullspace(int_rows, 6) == rational_nullspace(frac_rows, 6)
+    assert int_rows[0] == {0: -1, 3: 1}  # the caller's rows are not touched
+
+
+def test_nullspace_non_unit_pivots_give_exact_fractions():
+    # 2x + y = 0 and 5y + z = 0: (1, -2, 10) spans the nullspace
+    rank, basis = rational_nullspace([{0: 2, 1: 1}, {1: 5, 2: 1}], 3)
+    assert rank == 2
+    assert basis == [[Fraction(1, 10), Fraction(-1, 5), Fraction(1)]]
+    assert all(type(v) is Fraction for v in basis[0])
+    _, basis = rational_nullspace([{0: -1, 1: 1}], 3)
+    assert all(type(v) is Fraction for vec in basis for v in vec)
+
+
 def test_nullspace_dimension_matches_cycles_of_random_permutation():
     perm = [3, 0, 1, 2, 5, 4, 6]  # cycles: (0 3 2 1), (4 5), (6)
     rows = [{i: Fraction(-1), j: Fraction(1)} for i, j in enumerate(perm) if i != j]
@@ -237,6 +312,24 @@ def test_generator_consistency_certificates():
         certify_generator_consistency(2, 4)
     with pytest.raises(ResourceError):
         certify_generator_consistency(11, 7)
+
+
+def test_generator_consistency_walk_budget(monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="^858845700 cycle steps exceed walk cap 20000000$"):
+        certify_generator_consistency(31, 4)
+    assert time.perf_counter() - start < 1.0
+    # p = 5, levels 2-4: 20 units x (5^4 - 5) = 12400 steps
+    monkeypatch.setattr(oracle, "DEFAULT_WALK_CAP", 12400)
+    assert certify_generator_consistency(5, 4).passed
+
+    def no_walk(*args):
+        raise AssertionError("walked past the budget")
+
+    monkeypatch.setattr(oracle, "multiplicative_order", no_walk)
+    monkeypatch.setattr(oracle, "DEFAULT_WALK_CAP", 12399)
+    with pytest.raises(ResourceError, match="^12400 cycle steps exceed walk cap 12399$"):
+        certify_generator_consistency(5, 4)
 
 
 # -- log isometry -----------------------------------------------------------------------
